@@ -16,9 +16,10 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from binascii import a2b_base64
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.netstack.flags import TCPFlags
+from repro._util import ip_version
 from repro.netstack.options import TCPOption
 from repro.netstack.packet import Packet, PacketDirection
 
@@ -125,29 +126,42 @@ class ConnectionSample:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectionSample":
-        """Inverse of :meth:`to_dict`."""
-        packets = [
-            Packet(
+        """Inverse of :meth:`to_dict`.
+
+        Every packet of a sample normally shares one ``src``, so each
+        distinct address is parsed once (malformed ones still raise
+        ``ValueError``) and its version handed to every packet that
+        carries it.
+        """
+        versions: Dict[str, int] = {}
+        packets = []
+        for entry in data["packets"]:
+            src = entry["src"]
+            version = versions.get(src)
+            if version is None:
+                version = versions[src] = ip_version(src)
+            payload = entry["payload"]
+            options = entry.get("options")
+            packets.append(Packet(
                 ts=entry["ts"],
-                src=entry["src"],
+                src=src,
                 dst=entry["dst"],
                 ttl=entry["ttl"],
                 ip_id=entry["ip_id"],
+                ip_version=version,
                 sport=entry["sport"],
                 dport=entry["dport"],
                 seq=entry["seq"],
                 ack=entry["ack"],
-                flags=TCPFlags(entry["flags"]),
+                flags=entry["flags"],  # Packet.__post_init__ makes it TCPFlags
                 window=entry.get("window", 0),
                 options=tuple(
-                    TCPOption(kind, base64.b64decode(b64)) for kind, b64 in entry.get("options", [])
-                ),
-                payload=base64.b64decode(entry["payload"]),
+                    TCPOption(kind, a2b_base64(b64)) for kind, b64 in options
+                ) if options else (),
+                payload=b"" if payload == "" else a2b_base64(payload),
                 direction=PacketDirection.TO_SERVER,
                 injected=entry.get("injected", False),
-            )
-            for entry in data["packets"]
-        ]
+            ))
         return cls(
             conn_id=data["conn_id"],
             packets=packets,

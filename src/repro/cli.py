@@ -478,12 +478,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         bucket_seconds=args.bucket_seconds,
         checkpoint_interval=args.checkpoint_interval,
     )
-    print(
-        f"serving on {args.host}:{args.port} -- store at {args.store}; "
-        "SIGTERM/SIGINT drains gracefully",
-        file=sys.stderr,
-    )
-    code = service.run()
+
+    def announce() -> None:
+        # After the bind: with --port 0 only now is the port known.
+        print(
+            f"serving on {args.host}:{service.port} -- store at {args.store}; "
+            "SIGTERM/SIGINT drains gracefully",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    code = service.run(on_ready=announce)
     if service.report is not None:
         print(
             f"drained after {service.report.samples_processed} records "

@@ -12,6 +12,7 @@ everything it reads is available in a genuine server-side capture.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import OrderedDict
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,14 +52,17 @@ class ClassifierConfig:
 
 @dataclasses.dataclass
 class ClassificationResult:
-    """One classified connection."""
+    """One classified connection.
+
+    ``protocol`` and ``domain`` are derived from the sample's trigger
+    payload on first access, not at classification time: the streaming
+    fold never reads them, so it never pays for the ClientHello parse.
+    """
 
     sample: ConnectionSample
     signature: SignatureId
     stage: Stage
     possibly_tampered: bool
-    protocol: Optional[str]  # "tls" | "http" | None
-    domain: Optional[str]  # extracted from the trigger payload, if any
     silence_gap: float
     n_data_segments: int
 
@@ -69,6 +73,20 @@ class ClassificationResult:
     @property
     def conn_id(self) -> int:
         return self.sample.conn_id
+
+    @functools.cached_property
+    def _protocol_domain(self) -> Tuple[Optional[str], Optional[str]]:
+        return _extract_protocol_domain(self.sample)
+
+    @property
+    def protocol(self) -> Optional[str]:
+        """``"tls"`` | ``"http"`` | None."""
+        return self._protocol_domain[0]
+
+    @property
+    def domain(self) -> Optional[str]:
+        """Extracted from the trigger payload, if any."""
+        return self._protocol_domain[1]
 
 
 def _extract_protocol_domain(sample: ConnectionSample):
@@ -181,14 +199,11 @@ class TamperingClassifier:
     def classify(self, sample: ConnectionSample) -> ClassificationResult:
         """Classify one sample."""
         signature, stage, possibly_tampered, silence_gap, n_data = self._match(sample)
-        protocol, domain = _extract_protocol_domain(sample)
         return ClassificationResult(
             sample=sample,
             signature=signature,
             stage=stage,
             possibly_tampered=possibly_tampered,
-            protocol=protocol,
-            domain=domain,
             silence_gap=silence_gap,
             n_data_segments=n_data,
         )
@@ -245,8 +260,6 @@ class TamperingClassifier:
                     signature=record.signature,
                     stage=record.stage,
                     possibly_tampered=record.possibly_tampered,
-                    protocol=record.protocol,
-                    domain=record.domain,
                     silence_gap=record.silence_gap,
                     n_data_segments=record.n_data_segments,
                 )

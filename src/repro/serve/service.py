@@ -36,7 +36,7 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cdn.collector import ConnectionSample
 from repro.errors import ReproError, ServeError, StoreError
@@ -225,12 +225,16 @@ class ServeService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def run(self) -> int:
-        """Serve until a signal or :meth:`request_shutdown`; exit 0."""
-        asyncio.run(self._amain())
+    def run(self, on_ready: Optional[Callable[[], None]] = None) -> int:
+        """Serve until a signal or :meth:`request_shutdown`; exit 0.
+
+        ``on_ready`` is called on the loop thread once the listening
+        socket is bound (``self.port`` holds the real port by then).
+        """
+        asyncio.run(self._amain(on_ready))
         return 0
 
-    async def _amain(self) -> None:
+    async def _amain(self, on_ready: Optional[Callable[[], None]]) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown_event = asyncio.Event()
 
@@ -259,6 +263,8 @@ class ServeService:
 
         self.ready.set()
         self.obs.event("serve.ready", port=self.port, resumed=resume)
+        if on_ready is not None:
+            on_ready()
         try:
             await self._shutdown_event.wait()
         finally:

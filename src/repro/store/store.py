@@ -367,6 +367,10 @@ class RollupStore:
         ripe = sorted(b for b in self._open if b <= horizon)
         return self._seal(ripe)
 
+    def oldest_open_bucket(self) -> float:
+        """Start of the oldest open bucket (``inf`` when none is open)."""
+        return min(self._open, default=math.inf)
+
     def seal_open(self) -> int:
         """Seal everything -- the stream is finished."""
         return self._seal(sorted(self._open))

@@ -21,6 +21,7 @@ cursor was last retired is always safe to persist.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
@@ -196,6 +197,11 @@ class StreamEngine:
         #: (country, bucket_start) -> [total, matches] for buckets that
         #: have not closed yet (not fed to the detector).
         self._open_cells: Dict[Tuple[str, float], List[int]] = {}
+        #: Lower bound on the oldest bucket start open in either the
+        #: detector cells or the store (-inf = unknown).  Buckets ripen
+        #: only once per bucket boundary, so while the horizon is below
+        #: it the per-fold ripeness sweep has nothing to find.
+        self._oldest_open = -math.inf
         self._watermark: Optional[float] = None
         self._pull_seq = 0
         self._cursors: Deque[Tuple[int, object]] = deque()
@@ -249,6 +255,7 @@ class StreamEngine:
             (country, bucket): [total, matches]
             for country, bucket, total, matches in payload["open_cells"]
         }
+        self._oldest_open = -math.inf
         self._watermark = payload["watermark"]
         self._safe_cursor = payload["cursor"]
         if self.source is not None:
@@ -289,6 +296,8 @@ class StreamEngine:
         if self._watermark is None:
             return
         horizon = self._watermark - self.bucket_seconds - self.grace_seconds
+        if horizon < self._oldest_open:
+            return
         ripe = sorted(
             (cell for cell in self._open_cells if cell[1] <= horizon),
             key=lambda cell: (cell[1], cell[0]),
@@ -314,6 +323,11 @@ class StreamEngine:
             # buckets: an in-order source can never touch them again.
             if self.store.seal_through(horizon):
                 self.store.maybe_compact()
+        # Every remaining cell and store bucket now lies above horizon.
+        oldest = min((cell[1] for cell in self._open_cells), default=math.inf)
+        if self.store is not None:
+            oldest = min(oldest, self.store.oldest_open_bucket())
+        self._oldest_open = oldest
 
     def _flush_cells(self) -> None:
         """End of stream: close everything still open, in time order."""
@@ -347,7 +361,12 @@ class StreamEngine:
         self._n_folded += 1
         self.metrics.on_record_out(record.is_tampering)
 
-        cell = (record.country, self.rollup.bucket_of(record.ts))
+        bucket = self.rollup.bucket_of(record.ts)
+        if bucket < self._oldest_open:
+            # This record's cell (and any store bucket the add above
+            # opened) is now the oldest open bucket.
+            self._oldest_open = bucket
+        cell = (record.country, bucket)
         counts = self._open_cells.setdefault(cell, [0, 0])
         counts[0] += 1
         if record.is_tampering:

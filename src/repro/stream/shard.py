@@ -87,8 +87,6 @@ class StreamRecord:
     signature: SignatureId
     stage: Stage
     possibly_tampered: bool
-    protocol: Optional[str]
-    domain: Optional[str]
     client_ip: str
     ip_version: int
     server_port: int
@@ -120,8 +118,6 @@ class StreamRecord:
             signature=result.signature,
             stage=result.stage,
             possibly_tampered=result.possibly_tampered,
-            protocol=result.protocol,
-            domain=result.domain,
             client_ip=sample.client_ip,
             ip_version=sample.ip_version,
             server_port=sample.server_port,

@@ -226,6 +226,41 @@ class TestSampleRecord:
             )
             assert a.options == b.options
 
+    @pytest.mark.parametrize(
+        "client_ip,server_ip",
+        [("11.0.0.1", "198.41.0.1"), ("2001:db8::5", "2606:4700::1")],
+    )
+    def test_from_dict_inverts_to_dict(self, client_ip, server_ip):
+        client = make_client(client_ip=client_ip, server_ip=server_ip)
+        sample = capture(run_connection(client, server_ip=server_ip), conn_id=4)
+        loaded = ConnectionSample.from_dict(sample.to_dict())
+        assert loaded == sample
+        version = 6 if ":" in client_ip else 4
+        assert loaded.ip_version == version
+        for packet in loaded.packets:
+            assert packet.ip_version == version
+            assert type(packet.flags) is TCPFlags
+
+    def test_from_dict_versions_each_packet_by_its_own_src(self):
+        p4 = Packet(ts=1.0, src="11.0.0.1", dst="198.41.0.1", sport=5,
+                    dport=443, flags=TCPFlags.SYN)
+        p6 = Packet(ts=2.0, src="2001:db8::5", dst="2606:4700::1", sport=5,
+                    dport=443, flags=TCPFlags.ACK)
+        sample = ConnectionSample(conn_id=1, packets=[p4, p6, p4], window_end=5.0,
+                                  client_ip="11.0.0.1", client_port=5,
+                                  server_ip="198.41.0.1", server_port=443,
+                                  ip_version=4)
+        loaded = ConnectionSample.from_dict(sample.to_dict())
+        assert [p.ip_version for p in loaded.packets] == [4, 6, 4]
+        assert loaded == sample
+
+    def test_from_dict_rejects_malformed_src(self):
+        result = run_connection(make_client())
+        data = capture(result, conn_id=3).to_dict()
+        data["packets"][-1]["src"] = "not-an-ip"
+        with pytest.raises(ValueError):
+            ConnectionSample.from_dict(data)
+
     def test_jsonl_tolerates_blank_lines(self, tmp_path):
         result = run_connection(make_client())
         sample = capture(result, conn_id=3)

@@ -17,12 +17,15 @@ from typing import List
 import pytest
 
 from repro.cdn.collector import ConnectionSample
+from repro.core import classifier as classifier_module
 from repro.core.classifier import ClassifierConfig, TamperingClassifier
 from repro.core.featurekey import feature_key
 from repro.core.model import SignatureId
 from repro.errors import ClassificationError
 from repro.netstack.flags import TCPFlags
+from repro.netstack.http import build_http_request
 from repro.netstack.packet import Packet
+from repro.netstack.tls import build_client_hello
 
 CLIENT = "11.0.0.5"
 SERVER = "198.41.7.7"
@@ -123,6 +126,43 @@ def _decision(result):
         result.protocol,
         result.domain,
     )
+
+
+def _payload_captures() -> List[ConnectionSample]:
+    """A TLS ClientHello, an HTTP request and a payload-less handshake."""
+    captures = []
+    for conn_id, payload in enumerate(
+        (build_client_hello("tls.example"), build_http_request("http.example"), b""),
+        start=1,
+    ):
+        packets = [
+            _pkt(0.0, TCPFlags.SYN, seq=99),
+            _pkt(0.0, TCPFlags.ACK, seq=100, ack=501),
+        ]
+        if payload:
+            packets.append(_pkt(1.0, TCPFlags.PSHACK, seq=100, ack=501, payload=payload))
+        captures.append(_sample(packets, window_end=5.0, conn_id=conn_id))
+    return captures
+
+
+class TestProtocolDomain:
+    def test_pinned_per_payload_kind(self):
+        results = TamperingClassifier().classify_all(_payload_captures())
+        assert [(r.protocol, r.domain) for r in results] == [
+            ("tls", "tls.example"), ("http", "http.example"), (None, None),
+        ]
+
+    def test_classify_does_not_parse_the_payload(self, monkeypatch):
+        calls = []
+        extract = classifier_module._extract_protocol_domain
+        monkeypatch.setattr(
+            classifier_module, "_extract_protocol_domain",
+            lambda sample: calls.append(sample) or extract(sample),
+        )
+        result = TamperingClassifier().classify(_payload_captures()[0])
+        assert calls == []
+        assert (result.protocol, result.domain) == ("tls", "tls.example")
+        assert len(calls) == 1  # parsed once, on first access
 
 
 class TestCacheConfig:
@@ -294,6 +334,20 @@ class TestBatchParity:
         for seq_result, par_result in zip(sequential, parallel):
             assert _decision(seq_result) == _decision(par_result)
             assert par_result.sample is seq_result.sample  # caller's objects
+
+    def test_classify_batch_derives_protocol_and_domain(self):
+        rng = random.Random(9)
+        captures = _payload_captures() + [
+            _random_capture(rng, conn_id=i) for i in range(10, 40)
+        ]
+        sequential = TamperingClassifier().classify_all(captures)
+        parallel = TamperingClassifier().classify_batch(captures, workers=2, batch_size=8)
+        assert [(r.protocol, r.domain) for r in parallel] == [
+            (r.protocol, r.domain) for r in sequential
+        ]
+        assert [(r.protocol, r.domain) for r in parallel[:3]] == [
+            ("tls", "tls.example"), ("http", "http.example"), (None, None),
+        ]
 
     def test_classify_batch_serial_fallback(self):
         rng = random.Random(8)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -400,8 +401,11 @@ class TestServiceEndpoints:
         )
         with RunningService(service):
             client = ServeClient(port=service.port)
+            bad_src = study.samples[0].to_dict()
+            bad_src["packets"][0]["src"] = "not-an-ip"
             for body in (b"not json", b"[1, 2, 3]", b'{"sample": {}}',
-                         b'[{"not_a_sample": true}]'):
+                         b'[{"not_a_sample": true}]',
+                         json.dumps([bad_src]).encode()):
                 status, _, payload = client._request(
                     "POST", "/v1/samples", body=body
                 )
@@ -722,8 +726,16 @@ class TestServeCli:
         assert child.returncode == 0, err
         assert "drained after" in err
 
-        # Restart over the same store: resume, second half, drain.
-        child = self._spawn(store, port)
+        # Restart over the same store on an ephemeral port: the
+        # "serving on" line must name the port actually bound.
+        child = self._spawn(store, 0)
+        line = child.stderr.readline()
+        while line and "serving on" not in line:
+            line = child.stderr.readline()
+        match = re.search(r"serving on [^:]+:(\d+) ", line)
+        assert match, line
+        port = int(match.group(1))
+        assert port != 0, line
         client = ServeClient(port=port)
         self._wait_ready(client, child)
         client.post_samples(study.samples[cut:], timestamps=study.timestamps)

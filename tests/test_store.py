@@ -71,8 +71,6 @@ def make_record(seq, ts, country, signature, stage, possibly):
         signature=signature,
         stage=stage,
         possibly_tampered=possibly,
-        protocol="http",
-        domain="example.com",
         client_ip="203.0.113.7",
         ip_version=4,
         server_port=80,

@@ -608,6 +608,39 @@ class TestEngine:
         report = StreamEngine(make_source(study), n_workers=0).run(max_samples=50)
         assert report.rollup.countries == ["??"]
 
+    def test_ripe_cells_close_at_boundaries_and_on_late_records(self, study, tmp_path):
+        engine = StreamEngine(
+            None, n_workers=0, bucket_seconds=3600.0,
+            store_dir=str(tmp_path / "store"),
+        )
+        observed = []
+        observe = engine.detector.observe
+
+        def spy(country, bucket, rate, total):
+            observed.append((bucket, total))
+            return observe(country, bucket, rate, total)
+
+        engine.detector.observe = spy
+        engine.open_push()
+        samples = iter(study.samples)
+
+        def push(*stamps):
+            engine.push_items([StreamItem(sample=next(samples), ts=t) for t in stamps])
+
+        push(100.0, 200.0)
+        assert observed == []
+        push(3700.0)  # horizon 100 reaches bucket 0
+        assert observed == [(0.0, 2)]
+        assert engine.store.oldest_open_bucket() == 3600.0
+        push(3800.0)
+        assert observed == [(0.0, 2)]
+        push(150.0)  # late: bucket 0 reopens as a cell and closes at once
+        assert observed == [(0.0, 2), (0.0, 1)]
+        assert ("??", 0.0) not in engine._open_cells
+        assert engine.store.sealed_skips == 1
+        engine.drain()
+        assert observed[-1] == (3600.0, 2)
+
 
 # ----------------------------------------------------------------------
 # Cooperative stop (request_stop / SIGTERM) and push mode
