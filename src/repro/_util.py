@@ -8,11 +8,11 @@ generators from a parent seed and a string label via :func:`derive_rng`.
 Two runs with the same seed therefore produce identical traffic no matter
 how the caller interleaves component construction.
 
-:func:`atomic_write_json` / :func:`fsync_directory` are the durability
-primitives shared by every crash-safe writer in the tree (stream
-checkpoints, store segments, the store manifest): fsync'd temp file,
-``os.replace``, then an fsync of the containing directory so the rename
-itself survives a crash on ext4/xfs.
+:func:`atomic_write_text` / :func:`atomic_write_json` /
+:func:`fsync_directory` are the durability primitives shared by every
+crash-safe writer in the tree (stream checkpoints, store segments, the
+store manifest): fsync'd temp file, ``os.replace``, then an fsync of the
+containing directory so the rename itself survives a crash on ext4/xfs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 import random
 import tempfile
-from typing import Iterable, List, Sequence, Tuple, TypeVar
+from typing import Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -41,8 +41,34 @@ __all__ = [
     "chunk_payload",
     "clamp",
     "fsync_directory",
+    "compact_json",
+    "json_file_pieces",
+    "atomic_write_text",
     "atomic_write_json",
 ]
+
+#: Compact JSON text (no spaces), byte-equal to ``json.dumps(obj,
+#: separators=(",", ":"))``.  One shared encoder saves building a fresh
+#: ``JSONEncoder`` per call; ``encode`` runs the C encoder.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def json_file_pieces(head: dict, key: str, items: Iterable[str]) -> Iterator[str]:
+    """The text ``compact_json({**head, key: [...]}) + "\\n"``, in pieces,
+    where ``items`` are the list's entries, each already encoded.
+
+    ``head`` must be non-empty and must not hold ``key``.  Large files
+    are written entry by entry this way (see :func:`atomic_write_text`):
+    the C encoder's working memory peaks at about ten times its output,
+    so one call over a ~100 kB payload would leave a megabyte-scale
+    high-water mark.
+    """
+    yield f'{compact_json(head)[:-1]},"{key}":['
+    for index, item in enumerate(items):
+        if index:
+            yield ","
+        yield item
+    yield "]}\n"
 
 
 def fsync_directory(directory: str) -> None:
@@ -66,8 +92,10 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def atomic_write_json(path: str, payload: object, *, indent: int = None) -> int:
-    """Durably replace ``path`` with ``payload`` as JSON; returns bytes written.
+def atomic_write_text(path: str, pieces: Iterable[str]) -> int:
+    """Durably replace ``path`` with the concatenated ``pieces`` (an
+    iterable of ``str``, consumed as it is written); returns bytes
+    written.
 
     The sequence is: write to an fsync'd temp file in the same directory,
     chmod it to honour the process umask (``mkstemp`` creates 0600, which
@@ -80,11 +108,7 @@ def atomic_write_json(path: str, payload: object, *, indent: int = None) -> int:
     fd, tmp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w") as fh:
-            if indent is None:
-                json.dump(payload, fh, separators=(",", ":"))
-            else:
-                json.dump(payload, fh, indent=indent)
-            fh.write("\n")
+            fh.writelines(pieces)
             fh.flush()
             os.fsync(fh.fileno())
         size = os.path.getsize(tmp_path)
@@ -98,6 +122,20 @@ def atomic_write_json(path: str, payload: object, *, indent: int = None) -> int:
         raise
     fsync_directory(directory)
     return size
+
+
+def atomic_write_json(path: str, payload: object, *, indent: int = None) -> int:
+    """:func:`atomic_write_text` of ``payload`` as JSON plus a newline.
+
+    Compact separators unless ``indent`` is given.  The text is built
+    with ``json.dumps``-equivalent calls rather than ``json.dump``,
+    which always runs the pure-Python encoder; the bytes are the same.
+    """
+    if indent is None:
+        text = compact_json(payload)
+    else:
+        text = json.dumps(payload, indent=indent)
+    return atomic_write_text(path, (text, "\n"))
 
 
 def stable_hash(*parts: object) -> int:

@@ -150,11 +150,11 @@ class Compactor:
             self.chaos.maybe_kill(run, "segment-written")
 
         victim_ids = {meta.segment_id for meta in victims}
-        manifest.segments = [
+        survivors = [
             meta for meta in manifest.segments if meta.segment_id not in victim_ids
         ]
-        manifest.segments.append(new_meta)
-        manifest.save(os.path.dirname(self.segments_dir))
+        # Commit point; a failed swap leaves the victims live.
+        manifest.save(os.path.dirname(self.segments_dir), survivors + [new_meta])
         if self.chaos is not None:
             self.chaos.maybe_kill(run, "manifest-swapped")
 

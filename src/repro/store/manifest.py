@@ -3,11 +3,18 @@
 ``MANIFEST.json`` names every live segment (with its bucket range and
 country set, for query pushdown), carries the key catalog snapshot, and
 a monotonically increasing **generation**.  Every mutation of sealed
-state -- sealing a bucket, compacting segments -- builds the next
-manifest in memory and swaps it in with the same fsync'd temp-file +
-``os.replace`` + directory-fsync discipline as
+state -- sealing a bucket, compacting segments -- hands the next live
+segment list to :meth:`Manifest.save`, which swaps it in with the same
+fsync'd temp-file + ``os.replace`` + directory-fsync discipline as
 :class:`~repro.stream.checkpoint.CheckpointManager`
-(:func:`repro._util.atomic_write_json`).
+(:func:`repro._util.atomic_write_text`).  Memory adopts the new
+generation only if the swap lands, so a failed write (ENOSPC, EIO)
+leaves the in-memory manifest equal to the one on disk.
+
+The manifest is rewritten on every seal, so :meth:`Manifest.save`
+joins each segment's cached entry (:attr:`SegmentMeta.entry_json`)
+rather than re-encoding the whole history; the bytes are exactly
+``json.dumps(manifest.to_dict(), separators=(",", ":")) + "\\n"``.
 
 That makes the swap the commit point of every structural change:
 
@@ -27,7 +34,7 @@ import json
 import os
 from typing import Dict, List, Optional, Set
 
-from repro._util import atomic_write_json
+from repro._util import atomic_write_text, json_file_pieces
 from repro.errors import StoreError
 from repro.store.catalog import KeyCatalog
 from repro.store.segment import SegmentMeta
@@ -82,15 +89,19 @@ class Manifest:
         return segment_id
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
         return {
             "version": MANIFEST_VERSION,
             "generation": self.generation,
             "bucket_seconds": self.bucket_seconds,
             "next_segment_id": self.next_segment_id,
             "catalog": self.catalog.to_dict(),
-            "segments": [meta.to_dict() for meta in self.segments],
         }
+
+    def to_dict(self) -> dict:
+        data = self._header()
+        data["segments"] = [meta.to_dict() for meta in self.segments]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Manifest":
@@ -109,10 +120,31 @@ class Manifest:
         return manifest
 
     # ------------------------------------------------------------------
-    def save(self, directory: str) -> None:
-        """Swap the next generation in, atomically and durably."""
+    def save(
+        self, directory: str, segments: Optional[List[SegmentMeta]] = None
+    ) -> None:
+        """Swap the next generation in, atomically and durably.
+
+        ``segments`` is the next generation's live list (default: the
+        current one).  If the write raises, ``segments`` and
+        ``generation`` are left as they were, still describing the
+        manifest on disk.  ``next_segment_id`` keeps any ids allocated
+        for the failed swap: ids are never reused, and the orphan files
+        are swept on the next open.
+        """
+        previous = self.segments, self.generation
+        if segments is not None:
+            self.segments = segments
         self.generation += 1
-        atomic_write_json(os.path.join(directory, MANIFEST_NAME), self.to_dict())
+        entries = (meta.entry_json for meta in self.segments)
+        try:
+            atomic_write_text(
+                os.path.join(directory, MANIFEST_NAME),
+                json_file_pieces(self._header(), "segments", entries),
+            )
+        except BaseException:
+            self.segments, self.generation = previous
+            raise
 
     @classmethod
     def load(cls, directory: str) -> Optional["Manifest"]:

@@ -19,7 +19,7 @@ signature), ``stage_counts`` / ``stage_matched`` (per stage),
 ``signature_counts`` (per tampering signature), plus ``n`` / ``pt`` /
 ``min_ts`` / ``max_ts`` scalars.
 
-Files are written with :func:`repro._util.atomic_write_json` (fsync'd
+Files are written with :func:`repro._util.atomic_write_text` (fsync'd
 temp + ``os.replace`` + directory fsync), so a crash never leaves a
 torn segment -- only a complete file or no file, and un-manifested
 leftovers are swept on open.
@@ -28,11 +28,12 @@ leftovers are swept on open.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro._util import atomic_write_json
+from repro._util import atomic_write_text, compact_json, json_file_pieces
 from repro.core.model import SignatureId, Stage
 from repro.errors import StoreError
 
@@ -244,6 +245,16 @@ class SegmentMeta:
             "size_bytes": self.size_bytes,
         }
 
+    @functools.cached_property
+    def entry_json(self) -> str:
+        """:meth:`to_dict` as compact JSON, encoded once per meta.
+
+        The meta is frozen, and the manifest re-lists every live segment
+        on every swap, so :meth:`Manifest.save` joins these instead of
+        re-encoding the whole history.
+        """
+        return compact_json(self.to_dict())
+
     @classmethod
     def from_dict(cls, data: dict) -> "SegmentMeta":
         return cls(
@@ -285,13 +296,16 @@ def write_segment(
     if len(set(buckets)) != len(buckets):
         raise StoreError(f"duplicate buckets in segment: {buckets}")
     name = segment_file_name(segment_id, level)
-    payload = {
-        "version": SEGMENT_VERSION,
-        "id": segment_id,
-        "level": level,
-        "buckets": [[s.bucket, s.to_payload()] for s in slices],
-    }
-    size = atomic_write_json(os.path.join(directory, name), payload)
+    # Bucket by bucket: a merged segment runs to ~100 kB (see
+    # json_file_pieces).
+    size = atomic_write_text(
+        os.path.join(directory, name),
+        json_file_pieces(
+            {"version": SEGMENT_VERSION, "id": segment_id, "level": level},
+            "buckets",
+            (compact_json([s.bucket, s.to_payload()]) for s in slices),
+        ),
+    )
     countries = sorted({c for s in slices for c in s.totals})
     return SegmentMeta(
         segment_id=segment_id,

@@ -101,6 +101,9 @@ class RollupStore:
             )
         self.manifest = manifest
         self.catalog = manifest.catalog
+        #: every sealed bucket start; built once, extended by each seal
+        #: (compaction never changes which buckets are sealed)
+        self._sealed = manifest.sealed_buckets()
         self.compactor = Compactor(
             self.segments_dir,
             config=self.config.compaction,
@@ -183,9 +186,7 @@ class RollupStore:
                 f"store at {directory!r} has bucket_seconds="
                 f"{manifest.bucket_seconds}, asked for {bucket_seconds}"
             )
-        store.manifest = manifest
-        store.bucket_seconds = manifest.bucket_seconds
-        store.catalog = manifest.catalog
+        store._adopt(manifest)
         return store
 
     def _load_manifest_snapshot(self):
@@ -220,11 +221,16 @@ class RollupStore:
         manifest = self._load_manifest_snapshot()
         if manifest is None or manifest.generation == self.manifest.generation:
             return False
+        self._adopt(manifest)
+        self._segment_cache.clear()
+        return True
+
+    def _adopt(self, manifest: Manifest) -> None:
+        """Make ``manifest`` a read-only store's snapshot."""
         self.manifest = manifest
         self.bucket_seconds = manifest.bucket_seconds
         self.catalog = manifest.catalog
-        self._segment_cache.clear()
-        return True
+        self._sealed = manifest.sealed_buckets()
 
     def _assert_writable(self) -> None:
         if self.read_only:
@@ -252,12 +258,11 @@ class RollupStore:
         #    in global ordinal (stream) order.  Entries for buckets the
         #    manifest already sealed -- the crash-after-swap window of
         #    sealing -- are stale; their logs are dropped.
-        sealed = self.manifest.sealed_buckets()
         entries = self.wal.replay()
         kept: List[WalEntry] = []
         stale_buckets = set()
         for entry in entries:
-            if entry.bucket in sealed:
+            if entry.bucket in self._sealed:
                 stale_buckets.add(entry.bucket)
                 continue
             kept.append(entry)
@@ -314,7 +319,7 @@ class RollupStore:
         self._replayed = []  # adds invalidate the recovery snapshot
         self.ordinal += 1
         bucket = self.bucket_of(record.ts)
-        if bucket in self._sealed_cache():
+        if bucket in self._sealed:
             self.sealed_skips += 1
             return
         self.catalog.observe_record(record)
@@ -339,15 +344,6 @@ class RollupStore:
                 possibly_tampered=record.possibly_tampered,
             )
         )
-
-    def _sealed_cache(self):
-        # Sealing is rare relative to ingest; cache the sealed-bucket set
-        # keyed by manifest generation.
-        cached = getattr(self, "_sealed_memo", None)
-        if cached is None or cached[0] != self.manifest.generation:
-            cached = (self.manifest.generation, self.manifest.sealed_buckets())
-            self._sealed_memo = cached
-        return cached[1]
 
     def flush(self) -> None:
         """Make every applied record durable (WAL fsync)."""
@@ -407,8 +403,10 @@ class RollupStore:
                 [slice_],
             )
             new_metas.append(meta)
-        self.manifest.segments.extend(new_metas)
-        self.manifest.save(self.directory)  # commit point
+        # Commit point.  A failed swap leaves the manifest and the sealed
+        # set as they were, so the buckets stay open and a retry seals.
+        self.manifest.save(self.directory, self.manifest.segments + new_metas)
+        self._sealed.update(buckets)
         for bucket in buckets:
             del self._open[bucket]
             self.wal.drop_bucket(bucket)
@@ -629,16 +627,15 @@ class RollupStore:
                 f"this is not the checkpoint's store"
             )
         count = state["count"]
-        sealed = self.manifest.sealed_buckets()
         self._open = {
             bucket: BucketSlice.from_payload(bucket, payload)
             for bucket, payload in state["open"]
-            if bucket not in sealed
+            if bucket not in self._sealed
         }
         self.wal.rewrite(
             entry
             for entry in self._replayed
-            if entry.ordinal <= count and entry.bucket not in sealed
+            if entry.ordinal <= count and entry.bucket not in self._sealed
         )
         self._replayed = []
         self.ordinal = count
@@ -653,7 +650,7 @@ class RollupStore:
             "generation": self.manifest.generation,
             "ordinal": self.ordinal,
             "open_buckets": len(self._open),
-            "sealed_buckets": len(self.manifest.sealed_buckets()),
+            "sealed_buckets": len(self._sealed),
             "sealed_records": self.manifest.sealed_records(),
             "segments": len(self.manifest.segments),
             "levels": levels,

@@ -29,7 +29,7 @@ import os
 import time
 from typing import Dict, IO, Iterable, List, Tuple
 
-from repro._util import fsync_directory
+from repro._util import compact_json, fsync_directory
 from repro.core.model import SignatureId, Stage
 from repro.errors import StoreError
 from repro.obs import NULL_OBS
@@ -74,7 +74,7 @@ class WalEntry:
         self.possibly_tampered = possibly_tampered
 
     def to_line(self) -> str:
-        return json.dumps(
+        return compact_json(
             {
                 "n": self.ordinal,
                 "b": self.bucket,
@@ -83,8 +83,7 @@ class WalEntry:
                 "s": self.signature.value,
                 "g": self.stage.value,
                 "p": 1 if self.possibly_tampered else 0,
-            },
-            separators=(",", ":"),
+            }
         )
 
     @classmethod

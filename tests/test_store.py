@@ -11,13 +11,17 @@ manifest, compaction, queries) in isolation.
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import io
 import json
 import os
 import random
 
 import pytest
 
-from repro._util import atomic_write_json, fsync_directory
+import repro.store.manifest as manifest_module
+from repro._util import atomic_write_json, atomic_write_text, fsync_directory
 from repro.core.model import SignatureId, Stage
 from repro.errors import CheckpointError, StoreError, StreamError
 from repro.store import (
@@ -532,6 +536,156 @@ class TestCompaction:
 
 
 # ----------------------------------------------------------------------
+# Failed manifest swaps
+# ----------------------------------------------------------------------
+def fail_next_manifest_write(monkeypatch):
+    """Make the next manifest swap raise ENOSPC; later swaps go through."""
+    real = manifest_module.atomic_write_text
+    failed = []
+
+    def flaky(path, pieces):
+        if not failed:
+            failed.append(path)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(path, pieces)
+
+    monkeypatch.setattr(manifest_module, "atomic_write_text", flaky)
+    return failed
+
+
+def store_answers(store, countries):
+    """Every family's answer, key order frozen, for store-vs-store checks."""
+    answers = [
+        ordered(store.query(StoreQuery(family)).value)
+        for family in ("country_tampering_rate", "timeseries", "stage_statistics")
+    ]
+    for country in countries:
+        answers.append(
+            ordered(
+                store.query(
+                    StoreQuery("signature_hour_counts", country=country)
+                ).value
+            )
+        )
+    return answers
+
+
+def relabel(record, seq, ts):
+    """A copy of ``record`` at a new position (no new catalog keys)."""
+    return make_record(
+        seq, ts, record.country, record.signature, record.stage,
+        record.possibly_tampered,
+    )
+
+
+class TestFailedManifestSwap:
+    """A swap that raises leaves memory describing the manifest on disk."""
+
+    def _assert_matches_disk(self, store):
+        on_disk = Manifest.load(store.directory)
+        assert on_disk.generation == store.manifest.generation
+        assert on_disk.segments == store.manifest.segments
+        assert store.stats()["sealed_buckets"] == len(on_disk.sealed_buckets())
+
+    def test_failed_seal_keeps_buckets_open(self, tmp_path, monkeypatch):
+        records = random_records(37, 300, n_buckets=10)
+        head, tail = records[:150], records[150:]
+        late = relabel(records[0], len(records), 1.5 * HOUR)
+        horizon = 2 * HOUR
+
+        reference = RollupStore(str(tmp_path / "reference"))
+        for record in head:
+            reference.add(record)
+        reference.seal_through(0.0)
+        reference.add(late)
+        reference.seal_through(horizon)
+        for record in tail:
+            reference.add(record)
+        reference.seal_open()
+
+        directory = str(tmp_path / "store")
+        store = RollupStore(directory)
+        for record in head:
+            store.add(record)
+        assert store.seal_through(0.0) == 1
+        generation, segments = store.manifest.generation, list(store.manifest.segments)
+        open_before = store.stats()["open_buckets"]
+        failed = fail_next_manifest_write(monkeypatch)
+        with pytest.raises(OSError):
+            store.seal_through(horizon)
+        assert failed
+        assert store.manifest.generation == generation
+        assert store.manifest.segments == segments
+        assert store.stats()["open_buckets"] == open_before
+        self._assert_matches_disk(store)
+
+        store.add(late)  # its bucket never sealed: it folds
+        assert store.sealed_skips == 0
+        assert store.seal_through(horizon) == 2  # the retry seals
+        self._assert_matches_disk(store)
+        for record in tail:
+            store.add(record)
+        store.seal_open()
+        store.close()
+
+        reopened = RollupStore(directory)  # sweeps the failed seal's files
+        assert sorted(os.listdir(reopened.segments_dir)) == sorted(
+            meta.name for meta in reopened.manifest.segments
+        )
+        countries = sorted({record.country for record in records})
+        assert store_answers(reopened, countries) == store_answers(
+            reference, countries
+        )
+        reopened.close()
+        reference.close()
+
+    def test_failed_compaction_keeps_victims_live(self, tmp_path, monkeypatch):
+        records = random_records(41, 300, n_buckets=12)
+        extra = relabel(records[0], len(records), 12.5 * HOUR)
+
+        reference = RollupStore(str(tmp_path / "reference"), config=small_compaction())
+        for record in records:
+            reference.add(record)
+        reference.seal_open()
+        reference.compact()
+        reference.add(extra)
+        reference.seal_open()
+        reference.compact()
+
+        directory = str(tmp_path / "store")
+        store = RollupStore(directory, config=small_compaction())
+        for record in records:
+            store.add(record)
+        store.seal_open()
+        generation, segments = store.manifest.generation, list(store.manifest.segments)
+        fail_next_manifest_write(monkeypatch)
+        with pytest.raises(OSError):
+            store.compact()
+        assert store.manifest.generation == generation
+        assert store.manifest.segments == segments
+        self._assert_matches_disk(store)
+
+        store.add(extra)  # ingest carries on
+        assert store.stats()["open_buckets"] == 1
+        assert store.sealed_skips == 0
+        store.seal_open()
+        assert store.compact() >= 1  # the retry merges
+        self._assert_matches_disk(store)
+        store.close()
+
+        reopened = RollupStore(directory, config=small_compaction())
+        assert sorted(os.listdir(reopened.segments_dir)) == sorted(
+            meta.name for meta in reopened.manifest.segments
+        )
+        countries = sorted({record.country for record in records})
+        assert store_answers(reopened, countries) == store_answers(
+            reference, countries
+        )
+        reopened.close()
+        reference.close()
+
+
+# ----------------------------------------------------------------------
 # Store lifecycle: randomized ingest, parity at every stage
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [3, 11, 42])
@@ -919,6 +1073,20 @@ class TestDurabilityHelpers:
             atomic_write_json(str(tmp_path / "bad.json"), {"x": object()})
         assert [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")] == []
 
+    def test_atomic_write_text_failing_midway_keeps_old_file(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        atomic_write_json(path, {"old": True})
+
+        def pieces():
+            yield '{"new":'
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(OSError):
+            atomic_write_text(path, pieces())
+        with open(path) as fh:
+            assert json.loads(fh.read()) == {"old": True}
+        assert [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")] == []
+
     def test_fsync_directory_tolerates_missing_dir(self, tmp_path):
         fsync_directory(str(tmp_path / "does-not-exist"))  # no raise
 
@@ -929,6 +1097,161 @@ class TestDurabilityHelpers:
         manager.clear()
         assert manager.load() is None
         manager.clear()  # idempotent
+
+
+# ----------------------------------------------------------------------
+# Byte parity of everything the store writes
+# ----------------------------------------------------------------------
+BYTE_PARITY_PAYLOADS = [
+    {
+        "ts": 1673481600.0,
+        "rate": 0.1,
+        "tiny": 1e-7,
+        "huge": 1e300,
+        "negzero": -0.0,
+        "count": 3,
+        "name": "Iran \u2014 \u0627\u06cc\u0631\u0627\u0646",
+        "flags": [True, False, None],
+        "nested": [[1, [2.5, "\u00fc"]], {"k": [], "d": {}}],
+    },
+    [1673481600.0, 0.1, 1e-7, "\u65e5\u672c", [[], {}], -12],
+]
+
+
+def pure_python_json(payload, **kwargs):
+    """What ``json.dump`` (always the pure-Python encoder) writes."""
+    buf = io.StringIO()
+    json.dump(payload, buf, **kwargs)
+    return buf.getvalue() + "\n"
+
+
+def assert_manifest_bytes(store):
+    with open(os.path.join(store.directory, MANIFEST_NAME), "rb") as fh:
+        raw = fh.read()
+    expected = json.dumps(store.manifest.to_dict(), separators=(",", ":")) + "\n"
+    assert raw == expected.encode("ascii")
+    assert store.stats()["sealed_buckets"] == len(store.manifest.sealed_buckets())
+
+
+def build_pinned_store(root):
+    """A small deterministic store: seals, one compaction, open WAL
+    tail, and a checkpoint beside it."""
+    store = RollupStore(os.path.join(root, "store"), config=small_compaction())
+    watermark = None
+    for record in random_records(17, 360, n_buckets=18):
+        store.add(record)
+        watermark = record.ts if watermark is None else max(watermark, record.ts)
+        if record.seq % 40 == 39:
+            store.seal_through(watermark - 2 * HOUR)
+        if record.seq % 160 == 159:
+            store.maybe_compact()
+    CheckpointManager(os.path.join(root, "checkpoint.json")).save(
+        store.checkpoint_state(), store.ordinal
+    )
+    store.close()
+
+
+def tree_digest(root):
+    """SHA-256 over every file under ``root``: relative path + bytes."""
+    names = sorted(
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _, files in os.walk(root)
+        for name in files
+    )
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(root, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest(), names
+
+
+#: Digest of :func:`build_pinned_store`'s files, as written by the
+#: ``json.dump``-based writers this encoding replaced.  A change here
+#: means the on-disk bytes changed.
+PINNED_STORE_SHA256 = (
+    "9760662e1a408baf913f55a3c48f207637770ddbc53e10bc2239e5e4d65c7d1e"
+)
+
+
+class TestByteParity:
+    @pytest.mark.parametrize("payload", BYTE_PARITY_PAYLOADS)
+    def test_atomic_write_json_compact_bytes(self, tmp_path, payload):
+        path = str(tmp_path / "compact.json")
+        size = atomic_write_json(path, payload)
+        expected = json.dumps(payload, separators=(",", ":")) + "\n"
+        assert expected == pure_python_json(payload, separators=(",", ":"))
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("ascii")
+        assert size == len(expected)
+
+    @pytest.mark.parametrize("payload", BYTE_PARITY_PAYLOADS)
+    def test_atomic_write_json_indented_bytes(self, tmp_path, payload):
+        path = str(tmp_path / "indented.json")
+        size = atomic_write_json(path, payload, indent=2)
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert expected == pure_python_json(payload, indent=2)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("ascii")
+        assert size == len(expected)
+
+    def test_segment_bytes(self, tmp_path):
+        slices = {}
+        for record in random_records(47, 200, n_buckets=6):
+            bucket = record.ts // HOUR * HOUR
+            slices.setdefault(bucket, BucketSlice(bucket)).add(
+                record.country, record.ts, record.signature, record.stage,
+                record.possibly_tampered,
+            )
+        meta = write_segment(str(tmp_path), 9, 1, list(slices.values()))
+        expected = json.dumps(
+            {
+                "version": 1,
+                "id": 9,
+                "level": 1,
+                "buckets": [[b, slices[b].to_payload()] for b in sorted(slices)],
+            },
+            separators=(",", ":"),
+        ) + "\n"
+        with open(os.path.join(str(tmp_path), meta.name), "rb") as fh:
+            assert fh.read() == expected.encode("ascii")
+        assert meta.size_bytes == len(expected)
+        assert meta.entry_json == json.dumps(meta.to_dict(), separators=(",", ":"))
+
+    def test_manifest_bytes_through_seal_compaction_and_reopen(self, tmp_path):
+        records = random_records(43, 400, n_buckets=16)
+        directory = str(tmp_path / "store")
+        store = RollupStore(directory, config=small_compaction())
+        watermark = None
+        for record in records[:300]:
+            store.add(record)
+            watermark = record.ts if watermark is None else max(watermark, record.ts)
+            if record.seq % 50 == 49:
+                store.seal_through(watermark - HOUR)
+                assert_manifest_bytes(store)
+        assert store.compact() >= 1
+        assert_manifest_bytes(store)
+        store.close()  # unsealed: the open tail lives on in the WAL
+
+        reopened = RollupStore(directory, config=small_compaction())
+        assert_manifest_bytes(reopened)  # loaded metas encode identically
+        for record in records[300:]:
+            reopened.add(record)
+        reopened.seal_open()
+        assert_manifest_bytes(reopened)
+        reopened.compact()
+        assert_manifest_bytes(reopened)
+        reopened.close()
+
+    def test_pinned_store_digest(self, tmp_path):
+        build_pinned_store(str(tmp_path))
+        digest, names = tree_digest(str(tmp_path))
+        # Level-0 and level-1 segments, WAL logs and the checkpoint are
+        # all covered.
+        assert "checkpoint.json" in names and "store/MANIFEST.json" in names
+        assert any(name.startswith("store/segments/seg-0-") for name in names)
+        assert any(name.startswith("store/segments/seg-1-") for name in names)
+        assert any(name.startswith("store/wal/") for name in names)
+        assert digest == PINNED_STORE_SHA256
 
 
 # ----------------------------------------------------------------------
