@@ -3,15 +3,13 @@
 Not a paper artifact -- this measures the reproduction's own processing
 rates: connections classified per second (the figure a CDN would care
 about when sizing the pipeline), the feature-key memo's speedup and hit
-rate on the repetitive default workload, the ``classify_batch`` process
-pool, the cost of the order-reconstruction step relative to
-classification, and the serial-vs-sharded scaling of the streaming
-worker pool.
+rate on the repetitive default workload, and the cost of the
+order-reconstruction step relative to classification.
 
 The classifier family of benchmarks additionally writes
 ``BENCH_classifier_throughput.json`` (path override:
-``REPRO_BENCH_JSON``) recording uncached / cached / multi-worker
-throughput plus the memo hit rate, so CI can track the fast path as a
+``REPRO_BENCH_JSON``) recording uncached / cached throughput plus the
+memo hit rate, so CI can track the fast path as a
 trajectory and fail on regression.
 """
 
@@ -22,7 +20,6 @@ import pytest
 
 from repro.core.classifier import ClassifierConfig, TamperingClassifier
 from repro.core.sequence import reconstruct_order
-from repro.stream import ShardConfig, ShardedClassifierPool
 
 #: Filled in by the classifier benchmarks, flushed by the report test.
 _CLASSIFIER_STATS = {}
@@ -62,22 +59,6 @@ def test_classifier_throughput_cached(benchmark, study, emit):
          f"(hit rate {100 * info.hit_rate:.1f}%, {info.currsize} memo entries)")
 
 
-def test_classifier_throughput_batch_workers(benchmark, study, emit):
-    """classify_batch across a 4-worker process pool."""
-    samples = study.samples
-    classifier = TamperingClassifier()
-
-    def run():
-        return classifier.classify_batch(samples, workers=4)
-
-    results = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-
-    assert len(results) == len(samples)
-    rate = len(samples) / benchmark.stats.stats.mean
-    _CLASSIFIER_STATS["batch4_cps"] = rate
-    emit(f"classify_batch (4 workers): {rate:,.0f} connections/second")
-
-
 def test_classifier_throughput_report(emit):
     """Summarise and persist the classifier fast-path trajectory.
 
@@ -104,8 +85,6 @@ def test_classifier_throughput_report(emit):
         f"  cached:   {cached:,.0f} conn/s ({speedup:.2f}x, hit rate "
         f"{100 * _CLASSIFIER_STATS.get('cache_hit_rate', 0.0):.1f}%)"
     )
-    if "batch4_cps" in _CLASSIFIER_STATS:
-        lines.append(f"  4-worker batch: {_CLASSIFIER_STATS['batch4_cps']:,.0f} conn/s")
     emit("\n".join(lines))
 
     assert cached >= uncached, (
@@ -143,75 +122,3 @@ def test_evidence_throughput(benchmark, study):
 
     summaries = benchmark(run)
     assert len(summaries) == len(study.samples)
-
-
-# ----------------------------------------------------------------------
-# Streaming pool scaling: serial vs 1/2/4-worker sharded pools
-# ----------------------------------------------------------------------
-_POOL_RATES = {}
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def test_stream_pool_serial_baseline(benchmark, study, emit):
-    classifier = TamperingClassifier()
-    samples = study.samples
-
-    results = benchmark(classifier.classify_all, samples)
-
-    assert len(results) == len(samples)
-    rate = len(samples) / benchmark.stats.stats.mean
-    _POOL_RATES["serial"] = rate
-    emit(f"stream pool serial baseline: {rate:,.0f} connections/second")
-
-
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_stream_pool_sharded(benchmark, study, emit, n_workers):
-    samples = study.samples
-    config = ShardConfig(n_workers=n_workers, batch_size=256, max_inflight=4096)
-
-    def run():
-        with ShardedClassifierPool(config) as pool:
-            return pool.map_samples(samples)
-
-    records = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-
-    assert len(records) == len(samples)
-    rate = len(samples) / benchmark.stats.stats.mean
-    _POOL_RATES[n_workers] = rate
-    emit(f"stream pool ({n_workers} workers): {rate:,.0f} connections/second")
-
-
-def test_stream_pool_scaling_report(emit):
-    """Summarise ops/s per configuration; assert scaling when cores allow.
-
-    The >= 2x speedup check only means something on a machine that can
-    actually run 4 classifier workers in parallel, so it is gated on
-    core count (or forced with REPRO_BENCH_REQUIRE_SCALING=1).
-    """
-    if "serial" not in _POOL_RATES or 4 not in _POOL_RATES:
-        pytest.skip("pool benchmarks did not run")
-    serial = _POOL_RATES["serial"]
-    lines = [f"stream pool scaling (serial = {serial:,.0f} conn/s):"]
-    for n_workers in (1, 2, 4):
-        rate = _POOL_RATES.get(n_workers)
-        if rate:
-            lines.append(
-                f"  {n_workers} workers: {rate:,.0f} conn/s "
-                f"({rate / serial:.2f}x serial)"
-            )
-    cores = _available_cores()
-    lines.append(f"  (machine has {cores} usable cores)")
-    emit("\n".join(lines))
-
-    require = os.environ.get("REPRO_BENCH_REQUIRE_SCALING") == "1"
-    if cores >= 4 or require:
-        assert _POOL_RATES[4] >= 2.0 * serial, (
-            f"4-worker pool ({_POOL_RATES[4]:,.0f} conn/s) should be >= 2x "
-            f"serial ({serial:,.0f} conn/s) on a {cores}-core machine"
-        )

@@ -1,21 +1,14 @@
 """Soak benchmark: the hardened stream pipeline under sustained faults.
 
-Runs the same sample stream three ways -- clean serial, through a flaky
-source (seeded errors / torn lines / stalls / duplicates), and through a
-sharded pool whose worker is killed mid-stream -- and reports the
-overhead the fault-handling machinery costs when things actually break.
+Runs the same sample stream two ways -- clean, and through a flaky
+source (seeded errors / torn lines / stalls / duplicates) -- and reports
+the overhead the fault-handling machinery costs when things actually
+break.
 Parity with the clean rollup is asserted on every path: a soak run that
 drifts is a failure, not a data point.
 """
 
-from repro.stream import (
-    FaultPlan,
-    FaultySource,
-    IterableSource,
-    ShardConfig,
-    StreamEngine,
-    WorkerChaos,
-)
+from repro.stream import FaultPlan, FaultySource, IterableSource, StreamEngine
 
 SOAK_SAMPLES = 2000
 
@@ -27,7 +20,7 @@ def _source(study):
 
 
 def _clean(study):
-    return StreamEngine(_source(study), geodb=study.geo, n_workers=0).run()
+    return StreamEngine(_source(study), geodb=study.geo).run()
 
 
 def test_soak_clean_baseline(benchmark, study, emit):
@@ -56,7 +49,6 @@ def test_soak_flaky_source(benchmark, study, emit):
         report = StreamEngine(
             source,
             geodb=study.geo,
-            n_workers=0,
             max_source_retries=10,
             retry_backoff_seconds=0.0005,
         ).run()
@@ -69,33 +61,5 @@ def test_soak_flaky_source(benchmark, study, emit):
         f"{sum(source.injected.values())} fired, "
         f"{report.metrics['source_retries']} retries, "
         f"{report.metrics['duplicates_dropped']} dups dropped, "
-        f"{report.metrics['samples_per_second']:,.0f} samples/s"
-    )
-
-
-def test_soak_worker_kill(benchmark, study, emit):
-    clean = _clean(study).rollup.to_dict()
-
-    def soak():
-        return StreamEngine(
-            _source(study),
-            geodb=study.geo,
-            n_workers=2,
-            shard_config=ShardConfig(
-                n_workers=2,
-                batch_size=32,
-                max_inflight=128,
-                poll_seconds=0.05,
-                max_restarts=2,
-            ),
-            worker_chaos=WorkerChaos(worker_id=0, after_batches=4, mode="kill9"),
-        ).run()
-
-    report = benchmark.pedantic(soak, rounds=1, iterations=1)
-    assert report.rollup.to_dict() == clean, "kill-worker soak lost parity"
-    assert report.metrics["forced_terminations"] == 0
-    emit(
-        f"soak kill-worker: {report.metrics['worker_restarts']} restart(s), "
-        f"{report.metrics['forced_terminations']} forced terminations, "
         f"{report.metrics['samples_per_second']:,.0f} samples/s"
     )

@@ -78,7 +78,7 @@ from repro.obs import (
     mint_trace_id,
 )
 from repro.store import CompactionConfig, RollupStore, StoreConfig
-from repro.stream import IterableSource, StreamEngine, serial_records
+from repro.stream import IterableSource, StreamEngine
 
 HOUR = 3600.0
 SEAL_EVERY = 500
@@ -179,7 +179,7 @@ def _engine_run(study, obs):
     trace_n = _trace_sample_n() if obs is not NULL_OBS else 0
     t0 = time.perf_counter()
     report = StreamEngine(
-        source, geodb=study.world.geo, n_workers=0, obs=obs,
+        source, geodb=study.world.geo, obs=obs,
         trace_sample_n=trace_n,
     ).run()
     elapsed = time.perf_counter() - t0
@@ -189,19 +189,6 @@ def _engine_run(study, obs):
         if trace_n:
             assert obs.trace_recorder.stats()["spans"] > 0
     return elapsed
-
-
-@pytest.fixture(scope="module")
-def records(study):
-    """The study's classified, located stream records (built once)."""
-    geo = study.world.geo
-    out = []
-    for record in serial_records(study.samples, study.timestamps):
-        located = geo.lookup_or_none(record.client_ip)
-        if located is not None:
-            record = record.located(located.country, located.asn)
-        out.append(record)
-    return out
 
 
 def _ingest(records, directory, obs):

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.store import CompactionConfig, RollupStore, StoreConfig, StoreQuery
-from repro.stream import StreamRollup, serial_records
+from repro.stream import StreamRollup
 
 HOUR = 3600.0
 SEAL_EVERY = 500  # records between seal_through sweeps during ingest
@@ -57,19 +57,6 @@ def _ingest(records, directory, config):
     store.maybe_compact()
     store.flush()
     return store
-
-
-@pytest.fixture(scope="module")
-def records(study):
-    """The study's classified, located stream records (built once)."""
-    geo = study.world.geo
-    out = []
-    for record in serial_records(study.samples, study.timestamps):
-        located = geo.lookup_or_none(record.client_ip)
-        if located is not None:
-            record = record.located(located.country, located.asn)
-        out.append(record)
-    return out
 
 
 @pytest.fixture(scope="module")

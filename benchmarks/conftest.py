@@ -50,6 +50,24 @@ def dataset(study, results):
 
 
 @pytest.fixture(scope="session")
+def records(study, results):
+    """The study's classified, located stream records (built once)."""
+    from repro.stream import StreamRecord
+
+    geo = study.world.geo
+    out = []
+    for seq, result in enumerate(results):
+        record = StreamRecord.from_result(
+            result, seq=seq, ts=study.timestamps.get(result.sample.conn_id)
+        )
+        located = geo.lookup_or_none(record.client_ip)
+        if located is not None:
+            record = record.located(located.country, located.asn)
+        out.append(record)
+    return out
+
+
+@pytest.fixture(scope="session")
 def iran_study():
     """The 17-day Iran protest case study."""
     return iran_protest_study(n_connections=IRAN_CONNECTIONS, seed=13)

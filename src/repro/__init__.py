@@ -25,8 +25,8 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.core` -- the paper's contribution: signatures, classifier,
   evidence, aggregation, test-list analysis.
 * :mod:`repro.workloads` -- the synthetic world and study scenarios.
-* :mod:`repro.stream` -- online ingestion: sharded classification,
-  incremental rollups, checkpoints, live anomaly detection.
+* :mod:`repro.stream` -- online ingestion: one serial classify-and-fold
+  loop, incremental rollups, checkpoints, live anomaly detection.
 * :mod:`repro.store` -- durable partitioned rollup storage: sealed
   segments, WAL, compaction, and a batch-parity query engine.
 * :mod:`repro.obs` -- zero-dependency observability: metrics registry,
@@ -47,8 +47,6 @@ from repro.stream import (
     IterableSource,
     JsonlDirectorySource,
     JsonlSource,
-    ShardConfig,
-    ShardedClassifierPool,
     SimulatorSource,
     StreamEngine,
     StreamRecord,
@@ -100,8 +98,6 @@ __all__ = [
     "StreamReport",
     "StreamRollup",
     "StreamRecord",
-    "ShardConfig",
-    "ShardedClassifierPool",
     "IterableSource",
     "JsonlSource",
     "JsonlDirectorySource",

@@ -12,7 +12,7 @@ Subcommands:
 * ``fingerprints`` -- cluster device fingerprints in a sample file.
 * ``profiles`` -- export the built-in country profiles as editable JSON.
 * ``signatures`` -- print the Table 1 signature catalogue.
-* ``stream`` -- run the online pipeline: sharded classification,
+* ``stream`` -- run the online pipeline: serial classification,
   incremental rollups, live anomaly detection, kill-safe checkpoints,
   and (with ``--store``) durable partitioned rollup storage.
 * ``query`` -- answer the batch-parity question families from a
@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="classify a JSONL sample file")
     cls.add_argument("samples", help="input JSONL path")
     cls.add_argument("--inactivity", type=float, default=3.0)
-    cls.add_argument("--workers", "-w", type=int, default=0,
-                     help="classify across N worker processes (0/1 = inline)")
     cls.add_argument("--no-cache", action="store_true",
                      help="disable the feature-key memo (uncached reference path)")
     cls.add_argument("--cache-size", type=int, default=None,
@@ -95,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--scenario", choices=("two-week", "iran"), default="two-week")
     stream.add_argument("--connections", "-n", type=int, default=2000)
     stream.add_argument("--seed", type=int, default=7)
-    stream.add_argument("--workers", "-w", type=int, default=0,
-                        help="shard worker processes (0 = classify inline)")
     stream.add_argument("--no-cache", action="store_true",
                         help="disable the classifier feature-key memo")
     stream.add_argument("--bucket-seconds", type=float, default=3600.0)
@@ -106,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume from the checkpoint file")
     stream.add_argument("--max-samples", type=int, default=None,
                         help="stop after this many connections (for drills)")
-    stream.add_argument("--max-restarts", type=int, default=0,
-                        help="dead shard workers respawned before failing "
-                             "(0 = fail fast on any worker death)")
     stream.add_argument("--fault-plan",
                         help="JSON fault-plan file (see FaultPlan.to_dict); "
                              "wraps the source in FaultySource")
@@ -117,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "buckets to partitioned segments on disk "
                              "(shrinks checkpoints to the open tail)")
     stream.add_argument("--drill",
-                        choices=("kill-worker", "flaky-source",
-                                 "kill9-resume", "store-compaction"),
+                        choices=("flaky-source", "kill9-resume",
+                                 "store-compaction"),
                         help="run a fire drill under fault injection and "
                              "assert rollup parity with a clean run")
     stream.add_argument("--obs",
@@ -127,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "inspect with: repro obs DIR")
     stream.add_argument("--trace-sample", type=int, default=0, metavar="N",
                         help="head-sample 1 in N connections for end-to-end "
-                             "span trees (serial mode only; 0 = off); "
+                             "span trees (0 = off); "
                              "inspect with: repro trace OBS_DIR")
     stream.add_argument("--progress", type=float, default=None, metavar="SECONDS",
                         help="print a progress line to stderr every N seconds")
@@ -245,7 +238,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     classifier = TamperingClassifier(
         ClassifierConfig(inactivity_seconds=args.inactivity, cache_size=cache_size)
     )
-    results = classifier.classify_batch(samples, workers=args.workers)
+    results = classifier.classify_all(samples)
     counts = Counter(r.signature for r in results)
     rows = [
         [sig.display if sig.is_tampering else sig.value, counts[sig], f"{100.0 * counts[sig] / len(results):.2f}%"]
@@ -357,7 +350,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         FaultySource,
         JsonlDirectorySource,
         JsonlSource,
-        ShardConfig,
         StreamEngine,
         run_drill,
     )
@@ -372,7 +364,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             scenario=args.scenario,
             connections=args.connections,
             seed=args.seed,
-            workers=max(args.workers, 2) if args.drill == "kill-worker" else args.workers,
         )
         print(result.render())
         return 0 if result.ok else 1
@@ -404,12 +395,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     engine = StreamEngine(
         source,
         geodb=geodb,
-        n_workers=args.workers,
         classifier_config=(
             ClassifierConfig(cache_size=0) if args.no_cache else None
-        ),
-        shard_config=ShardConfig(
-            n_workers=max(args.workers, 1), max_restarts=args.max_restarts
         ),
         bucket_seconds=args.bucket_seconds,
         checkpoint_path=args.checkpoint,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import OrderedDict
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.cdn.collector import ConnectionSample
 from repro.core.featurekey import FeatureKey, feature_key
@@ -216,52 +216,3 @@ class TamperingClassifier:
         """Streaming variant of :meth:`classify_all`."""
         for sample in samples:
             yield self.classify(sample)
-
-    def classify_batch(
-        self,
-        samples: Iterable[ConnectionSample],
-        workers: int = 0,
-        batch_size: int = 256,
-    ) -> List[ClassificationResult]:
-        """Classify across a process pool; results in input order.
-
-        ``workers <= 1`` falls back to the sequential path.  Otherwise
-        samples are partitioned across ``workers`` processes through the
-        streaming shard machinery
-        (:class:`~repro.stream.shard.ShardedClassifierPool`); each worker
-        runs its own classifier with this instance's config (memo
-        included), and the ordered merge guarantees output order equals
-        input order.  Returns are full :class:`ClassificationResult`
-        values bound to the caller's sample objects -- parity with
-        :meth:`classify_all` is exact.
-        """
-        if workers < 0:
-            raise ClassificationError("workers must be >= 0")
-        samples = list(samples)
-        if workers <= 1 or len(samples) < 2:
-            return self.classify_all(samples)
-        # Imported lazily: repro.stream.shard imports this module.
-        from repro.stream.shard import ShardConfig, ShardedClassifierPool
-        from repro.stream.source import StreamItem
-
-        shard_config = ShardConfig(
-            n_workers=workers,
-            batch_size=max(1, min(batch_size, len(samples))),
-        )
-        with ShardedClassifierPool(shard_config, self.config) as pool:
-            records = list(
-                pool.process(StreamItem(sample=s) for s in samples)
-            )
-        results: List[ClassificationResult] = []
-        for sample, record in zip(samples, records):
-            results.append(
-                ClassificationResult(
-                    sample=sample,
-                    signature=record.signature,
-                    stage=record.stage,
-                    possibly_tampered=record.possibly_tampered,
-                    silence_gap=record.silence_gap,
-                    n_data_segments=record.n_data_segments,
-                )
-            )
-        return results

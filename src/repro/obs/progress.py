@@ -5,7 +5,7 @@ a monotonic-clock comparison and an early return in the common case --
 and every ``interval_seconds`` the reporter emits one line built from
 the live :class:`~repro.stream.metrics.StreamMetrics`::
 
-    progress: 120,000 records | 14,900/s (interval 15,200/s) | queue 3 | 2 anomalies | 1 worker restarts
+    progress: 120,000 records | 14,900/s (interval 15,200/s) | 2 anomalies | 1 source retries
 
 A callable sink (default: print to stderr) keeps the reporter testable
 and lets the CLI redirect it.
@@ -53,11 +53,8 @@ class ProgressReporter:
         parts = [
             f"progress: {records:,} records",
             f"{metrics.samples_per_second():,.0f}/s (interval {interval_rate:,.0f}/s)",
-            f"queue {metrics.queue_depth}",
             f"{metrics.anomaly_events} anomalies",
         ]
-        if metrics.worker_restarts:
-            parts.append(f"{metrics.worker_restarts} worker restarts")
         if metrics.source_retries:
             parts.append(f"{metrics.source_retries} source retries")
         self.sink(" | ".join(parts))

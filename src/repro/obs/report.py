@@ -8,8 +8,8 @@ histogram buckets, total busy seconds, and the share of measured time
 each stage accounts for.  The stage with the largest total busy time is
 flagged as the bottleneck.
 
-Stages nest (``rollup.fold`` contains ``wal.append``; a pool batch
-contains its workers' ``classify.batch`` time), so shares are of
+Stages nest (``rollup.fold`` contains ``wal.append`` and
+``segment.seal``), so shares are of
 *measured span time*, not wall time, and can legitimately sum past
 100%.  The report is about ranking, not accounting identities.
 """

@@ -14,7 +14,7 @@ percent of throughput in GC traffic and cold stores alone
 The ring keeps the most recent ``capacity`` spans as a flight
 recorder; complete per-stage distributions live in the histograms
 (:mod:`repro.obs.registry`), so losing old spans loses no aggregate
-information.  Lifecycle *events* (worker restarts, engine resume) are
+information.  Lifecycle *events* (engine resume, serve rejections) are
 rare and load-bearing -- the fire drills assert on them -- so they live
 in their own small buffer where a flood of hot-path spans can never
 evict them; they surface as zero-duration spans with ``kind="event"``

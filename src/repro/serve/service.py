@@ -147,7 +147,6 @@ class ServeService:
         self.engine = StreamEngine(
             None,
             geodb=geodb,
-            n_workers=0,
             bucket_seconds=bucket_seconds,
             grace_seconds=grace_seconds,
             anomaly_config=anomaly_config,

@@ -88,7 +88,7 @@ class KeyCatalog:
             self.global_sigs.append(sig_key)
 
     def observe_record(self, record) -> None:
-        """Register a :class:`~repro.stream.shard.StreamRecord`."""
+        """Register a :class:`~repro.stream.rollup.StreamRecord`."""
         sig_key = (
             record.signature
             if record.signature.is_tampering

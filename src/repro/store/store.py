@@ -50,8 +50,7 @@ from repro.store.segment import (
     write_segment,
 )
 from repro.store.wal import WalEntry, WriteAheadLog
-from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRollup
-from repro.stream.shard import StreamRecord
+from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRecord, StreamRollup
 
 __all__ = ["StoreConfig", "RollupStore"]
 

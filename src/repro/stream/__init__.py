@@ -2,9 +2,10 @@
 
 The batch pipeline (``classify_all`` + ``AnalysisDataset``) re-scans the
 whole study per question; this package is its production-shaped
-counterpart: samples flow through a sharded classifier pool into
-incremental windowed rollups, windows feed an online anomaly detector as
-they close, and periodic checkpoints make the whole thing kill-safe.
+counterpart: one serial engine loop classifies each sample and folds it
+into incremental windowed rollups, windows feed an online anomaly
+detector as they close, and periodic checkpoints make the whole thing
+kill-safe.
 
 Quickstart::
 
@@ -14,20 +15,19 @@ Quickstart::
     source = SimulatorSource(TrafficGenerator(world, seed=7),
                              n_connections=2000,
                              start_ts=0.0, duration=86400.0)
-    report = StreamEngine(source, geodb=world.geo, n_workers=2).run()
+    report = StreamEngine(source, geodb=world.geo).run()
     print(report.render())
 
 Module map:
 
 * :mod:`repro.stream.source` -- pull-based sample sources + backpressure.
-* :mod:`repro.stream.shard` -- the multiprocessing classifier pool, with
-  supervised worker restart and a deterministic chaos hook.
 * :mod:`repro.stream.faults` -- seeded fault injection (flaky sources,
-  planned worker/engine deaths) and the ``--drill`` fire drills.
-* :mod:`repro.stream.rollup` -- mergeable country × signature × hour counters.
+  planned engine deaths) and the ``--drill`` fire drills.
+* :mod:`repro.stream.rollup` -- the classified ``StreamRecord`` and the
+  country × signature × hour counters it folds into.
 * :mod:`repro.stream.checkpoint` -- atomic JSON checkpoints.
 * :mod:`repro.stream.anomaly` -- EWMA/z-score spike detection with hysteresis.
-* :mod:`repro.stream.metrics` -- samples/s, queue depth, worker utilization.
+* :mod:`repro.stream.metrics` -- samples/s, anomaly and fault counters.
 * :mod:`repro.stream.engine` -- the service loop tying it all together.
 
 The durable tier lives in :mod:`repro.store`: pass ``store_dir`` to
@@ -48,15 +48,7 @@ from repro.stream.faults import (
     run_drill,
 )
 from repro.stream.metrics import StreamMetrics
-from repro.stream.rollup import StreamRollup
-from repro.stream.shard import (
-    ShardConfig,
-    ShardedClassifierPool,
-    StreamRecord,
-    WorkerChaos,
-    serial_records,
-    shard_of,
-)
+from repro.stream.rollup import StreamRecord, StreamRollup
 from repro.stream.source import (
     BoundedBuffer,
     IterableSource,
@@ -82,12 +74,7 @@ __all__ = [
     "StreamReport",
     "StreamMetrics",
     "StreamRollup",
-    "ShardConfig",
-    "ShardedClassifierPool",
     "StreamRecord",
-    "WorkerChaos",
-    "serial_records",
-    "shard_of",
     "BoundedBuffer",
     "IterableSource",
     "JsonlDirectorySource",

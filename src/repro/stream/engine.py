@@ -1,21 +1,20 @@
-"""The stream engine: source → shard pool → rollup → anomaly → report.
+"""The stream engine: source → classify → rollup → anomaly → report.
 
-:class:`StreamEngine` is the long-running service loop.  It pulls
-:class:`~repro.stream.source.StreamItem` values from a
-:class:`~repro.stream.source.SampleSource`, classifies them (inline, or
-across a :class:`~repro.stream.shard.ShardedClassifierPool` when
-``n_workers > 0``), geolocates each record, folds it into a
-:class:`~repro.stream.rollup.StreamRollup`, closes hour windows as
-virtual time advances and feeds their rates to the
-:class:`~repro.stream.anomaly.EwmaDetector`, and periodically snapshots
+:class:`StreamEngine` is the long-running service loop.  It takes
+:class:`~repro.stream.source.StreamItem` values -- pulled from a
+:class:`~repro.stream.source.SampleSource` by :meth:`StreamEngine.run`,
+or handed over by the serving tier through
+:meth:`StreamEngine.push_items` -- and runs each through one serial
+loop: classify, geolocate, fold into a
+:class:`~repro.stream.rollup.StreamRollup` (or the durable store), close
+hour windows as virtual time advances and feed their rates to the
+:class:`~repro.stream.anomaly.EwmaDetector`, and periodically snapshot
 everything through a :class:`~repro.stream.checkpoint.CheckpointManager`.
 
-Checkpoint correctness with a parallel pool relies on one invariant:
-the pool's ordered merge returns records in **pull order**, so the
-source cursor recorded at pull time for sequence *k* is exactly "the
-source is consumed through record *k*".  The engine keeps those cursors
-in a bounded deque and retires them as records come back; whatever
-cursor was last retired is always safe to persist.
+Checkpoint correctness rests on one invariant: a record is folded
+before the next one is pulled, so the source cursor read at a record's
+pull is exactly "the source is consumed through this record" once that
+record is folded -- and every checkpoint is written after a fold.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cdn.geo import GeoDatabase
 from repro.core.classifier import ClassifierConfig, TamperingClassifier
@@ -41,19 +39,10 @@ from repro.obs import (
 from repro.stream.anomaly import AnomalyConfig, AnomalyEvent, EwmaDetector
 from repro.stream.checkpoint import CheckpointManager
 from repro.stream.metrics import StreamMetrics
-from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRollup
-from repro.stream.shard import (
-    ShardConfig,
-    ShardedClassifierPool,
-    StreamRecord,
-    WorkerChaos,
-)
+from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRecord, StreamRollup
 from repro.stream.source import SampleSource, StreamItem
 
 __all__ = ["StreamEngine", "StreamReport"]
-
-#: "No cursor seen yet" marker; distinct from any real cursor value.
-_NO_CURSOR = object()
 
 #: Timing-sample strides (powers of two) for the hottest per-record
 #: spans: only every Nth occurrence is clocked, and the recorded span
@@ -108,9 +97,7 @@ class StreamEngine:
         source: Optional[SampleSource],
         geodb: Optional[GeoDatabase] = None,
         *,
-        n_workers: int = 0,
         classifier_config: Optional[ClassifierConfig] = None,
-        shard_config: Optional[ShardConfig] = None,
         bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
         grace_seconds: float = 0.0,
         anomaly_config: Optional[AnomalyConfig] = None,
@@ -118,7 +105,6 @@ class StreamEngine:
         checkpoint_interval: int = 5000,
         max_source_retries: int = 3,
         retry_backoff_seconds: float = 0.05,
-        worker_chaos: Optional[WorkerChaos] = None,
         store_dir: Optional[str] = None,
         store_config: Optional[object] = None,
         store_chaos: Optional[object] = None,
@@ -126,8 +112,6 @@ class StreamEngine:
         progress: Optional[ProgressReporter] = None,
         trace_sample_n: int = 0,
     ) -> None:
-        if n_workers < 0:
-            raise StreamError("n_workers must be >= 0")
         if max_source_retries < 0:
             raise StreamError("max_source_retries must be >= 0")
         if retry_backoff_seconds < 0:
@@ -136,9 +120,7 @@ class StreamEngine:
             raise StreamError("trace_sample_n must be >= 0")
         self.source = source
         self.geodb = geodb
-        self.n_workers = n_workers
         self.classifier_config = classifier_config or ClassifierConfig()
-        self.shard_config = shard_config or ShardConfig(n_workers=max(n_workers, 1))
         self.bucket_seconds = bucket_seconds
         self.grace_seconds = grace_seconds
         self.rollup = StreamRollup(bucket_seconds=bucket_seconds)
@@ -159,18 +141,11 @@ class StreamEngine:
         #: Pull-mode head sampling: mint a TraceContext for 1 in N items
         #: so `repro stream --trace-sample N` yields span trees without
         #: an HTTP tier in front.  Push-mode contexts arrive on the
-        #: items themselves (the serving tier mints them).  Tracing is
-        #: serial-path only: the shard pool's workers classify in other
-        #: processes, where spans cannot reach this recorder.
+        #: items themselves (the serving tier mints them).
         self.trace_sample_n = trace_sample_n
-        self._trace_sampler = (
-            HeadSampler(trace_sample_n)
-            if trace_sample_n and n_workers == 0
-            else None
-        )
+        self._trace_sampler = HeadSampler(trace_sample_n) if trace_sample_n else None
         self.max_source_retries = max_source_retries
         self.retry_backoff_seconds = retry_backoff_seconds
-        self.worker_chaos = worker_chaos
         self.checkpointer = (
             CheckpointManager(checkpoint_path, interval=checkpoint_interval)
             if checkpoint_path
@@ -178,7 +153,7 @@ class StreamEngine:
         )
         if store_dir is not None:
             # Imported here: repro.store depends on this package's rollup
-            # and shard modules, so a top-level import would be circular.
+            # module, so a top-level import would be circular.
             from repro.store import RollupStore
 
             self.store: Optional[RollupStore] = RollupStore(
@@ -203,19 +178,18 @@ class StreamEngine:
         #: it the per-fold ripeness sweep has nothing to find.
         self._oldest_open = -math.inf
         self._watermark: Optional[float] = None
-        self._pull_seq = 0
-        self._cursors: Deque[Tuple[int, object]] = deque()
+        #: What a checkpoint records as "consumed through here": the
+        #: source cursor read at the last pull (pull mode; that record
+        #: is folded before anything else happens), or the fold count
+        #: after the last pushed record (push mode).
         self._safe_cursor: Optional[object] = None
-        self._last_cursor: object = _NO_CURSOR
         self._source_exhausted = False
         #: Cooperative stop flag (signal handlers, service drain).  The
         #: run loop checks it between folds, so a stop always lands on a
         #: record boundary with a consistent checkpointable state.
         self._stop_requested = False
-        # Push-mode session state (see open_push/push_items/drain).
+        self._classifier: Optional[TamperingClassifier] = None
         self._push_open = False
-        self._push_classifier: Optional[TamperingClassifier] = None
-        self._push_seq = 0
 
     # ------------------------------------------------------------------
     # Resume
@@ -344,7 +318,7 @@ class StreamEngine:
         self.metrics.anomaly_events += len(events)
 
     def _fold(self, record: StreamRecord) -> None:
-        """Geolocate, roll up, advance windows, retire the cursor."""
+        """Geolocate, roll up, advance windows, checkpoint when due."""
         if self.geodb is not None:
             geo = self.geodb.lookup_or_none(record.client_ip)
             if geo is not None:
@@ -375,14 +349,8 @@ class StreamEngine:
             self._watermark = record.ts
         self._close_ripe_cells()
 
-        while self._cursors and self._cursors[0][0] <= record.seq:
-            _, cursor = self._cursors.popleft()
-            self._safe_cursor = cursor
-
         if self.checkpointer is not None and self.checkpointer.due(self._n_folded):
-            with self._t_checkpoint:
-                self.checkpointer.save(self._checkpoint_state(), self._n_folded)
-            self.metrics.checkpoints_written += 1
+            self.checkpoint_now()
         if self.progress is not None:
             self.progress.maybe_report(self.metrics)
 
@@ -428,20 +396,24 @@ class StreamEngine:
                     time.sleep(self.retry_backoff_seconds * (2 ** (failures - 1)))
                 self.source.seek(self.source.cursor())
 
-    def _instrumented_items(self, max_samples: Optional[int]) -> Iterator[StreamItem]:
+    def _pulled(self, max_samples: Optional[int]) -> Iterator[StreamItem]:
+        """Deduplicated, head-sampled source items; tracks the cursor.
+
+        The caller folds each item before asking for the next one, so
+        the cursor read here is checkpoint-safe from that fold on.
+        """
         iterator = self._source_items()
+        pulled = 0
         for item in iterator:
             cursor = self.source.cursor()
-            if cursor == self._last_cursor:
+            if cursor == self._safe_cursor:
                 # An unchanged cursor means the source redelivered the
                 # item it already handed out (at-least-once upstream,
                 # retry replay): drop it, or the rollup double-counts.
                 self.metrics.duplicates_dropped += 1
                 continue
-            self._last_cursor = cursor
-            self._cursors.append((self._pull_seq, cursor))
-            self._pull_seq += 1
-            self.metrics.on_sample_in()
+            self._safe_cursor = cursor
+            pulled += 1
             sampler = self._trace_sampler
             if sampler is not None and sampler.decide():
                 item = dataclasses.replace(
@@ -449,7 +421,7 @@ class StreamEngine:
                     trace=TraceContext(mint_trace_id(), mint_span_id(), True),
                 )
             yield item
-            if max_samples is not None and self._pull_seq >= max_samples:
+            if max_samples is not None and pulled >= max_samples:
                 # The cap may coincide with the end of the source; peek
                 # so a source holding exactly max_samples items still
                 # reports finished and flushes its trailing windows.
@@ -460,14 +432,13 @@ class StreamEngine:
                 return
         self._source_exhausted = True
 
-    def _serial_records(
-        self,
-        items: Iterator[StreamItem],
-        classifier: Optional[TamperingClassifier] = None,
-        seq_start: int = 0,
-    ) -> Iterator[StreamRecord]:
-        if classifier is None:
-            classifier = TamperingClassifier(self.classifier_config)
+    def _records(self, items: Iterator[StreamItem]) -> Iterator[StreamRecord]:
+        """Classify items in order: the one path pull and push share.
+
+        Each record's ``seq`` is its fold ordinal; the caller folds it
+        before the next item is classified.
+        """
+        classifier = self._classifier
         obs = self.obs
         # With the memo enabled, timings are routed into hit/miss
         # histograms (a cache hit is ~feature extraction only, a miss
@@ -484,7 +455,7 @@ class StreamEngine:
         c_misses = obs.counter("classify.cache_misses")
         rec = self._trace_rec
         perf = time.perf_counter
-        seq = seq_start
+        on_sample_in = self.metrics.on_sample_in
         # ``traced`` mirrors whether the recorder holds this thread's
         # active context.  Activation happens *here*, per item, because
         # the generator stays suspended while the caller folds the
@@ -493,6 +464,8 @@ class StreamEngine:
         traced = False
         try:
             for item in items:
+                seq = self._n_folded
+                on_sample_in()
                 trace = item.trace
                 if trace is not None or traced:
                     rec.activate(trace)
@@ -530,13 +503,71 @@ class StreamEngine:
                     with t_classify:
                         result = classifier.classify(item.sample)
                 yield StreamRecord.from_result(result, seq=seq, ts=item.ts)
-                seq += 1
         finally:
             if traced:
                 rec.activate(None)
 
     # ------------------------------------------------------------------
-    # The run loop
+    # Session start and finish (shared by pull and push mode)
+    # ------------------------------------------------------------------
+    def _begin(self, resume: bool) -> None:
+        """Restore a checkpoint or refuse a populated store; start clocks."""
+        if resume:
+            if self.checkpointer is None:
+                raise StreamError("resume requested but no checkpoint path configured")
+            self._restore()
+        elif self.store is not None and self.store.is_dirty:
+            raise StreamError(
+                "store directory already holds ingested state; resume from "
+                "its checkpoint or start over with an empty directory "
+                "(re-ingesting into a populated store would double-count)"
+            )
+        self._classifier = TamperingClassifier(self.classifier_config)
+        self.metrics.start()
+
+    def _finish(self, seal: bool) -> StreamReport:
+        """End the session: flush windows and seal (``seal``) or leave
+        them open for a resumed session, checkpoint, then report.
+
+        Sealing freezes the trailing open buckets into segments so
+        restarts (and `repro query`) see the whole history on disk.  A
+        pause must not seal: the resumed session delivers more records
+        for those buckets, and sealing would silently drop them (see
+        ``RollupStore.sealed_skips``).
+        """
+        if seal:
+            self._flush_cells()
+            if self.store is not None:
+                self.store.seal_open()
+                self.store.maybe_compact()
+        if self.checkpointer is not None and self._n_folded:
+            self.checkpoint_now()
+        if self.store is not None:
+            self.store.flush()
+            self.metrics.store_stats = self.store.stats()
+            # Materialise the full (sealed + open) history so the report
+            # and every downstream consumer see the same rollup a
+            # store-less engine would have built.
+            self.rollup = self.store.to_rollup()
+        self._classifier = None
+        return StreamReport(
+            rollup=self.rollup,
+            events=list(self.detector.events),
+            metrics=self.metrics.snapshot(),
+            finished=seal,
+            samples_processed=self.rollup.n_records,
+        )
+
+    def checkpoint_now(self) -> None:
+        """Write a checkpoint of the current state immediately."""
+        if self.checkpointer is None:
+            raise StreamError("no checkpoint path configured")
+        with self._t_checkpoint:
+            self.checkpointer.save(self._checkpoint_state(), self._n_folded)
+        self.metrics.checkpoints_written += 1
+
+    # ------------------------------------------------------------------
+    # Pull mode
     # ------------------------------------------------------------------
     def run(
         self,
@@ -555,100 +586,19 @@ class StreamEngine:
                 "run() needs a source; a source-less engine is driven "
                 "through open_push()/push_items()/drain()"
             )
-        if resume:
-            if self.checkpointer is None:
-                raise StreamError("resume requested but no checkpoint path configured")
-            self._restore()
-        elif self.store is not None and self.store.is_dirty:
-            raise StreamError(
-                "store directory already holds ingested state; resume from "
-                "its checkpoint or start over with an empty directory "
-                "(re-ingesting into a populated store would double-count)"
-            )
-        self.metrics.start()
-
-        items = self._instrumented_items(max_samples)
-        exhausted_cleanly = False
+        self._begin(resume)
         try:
-            if self.n_workers == 0:
-                for record in self._serial_records(items):
-                    self._fold(record)
-                    if self._stop_requested:
-                        break
-            else:
-                pool_config = dataclasses.replace(
-                    self.shard_config, n_workers=self.n_workers
-                )
-                pool = ShardedClassifierPool(
-                    pool_config,
-                    self.classifier_config,
-                    chaos=self.worker_chaos,
-                    obs=self.obs,
-                )
-                try:
-                    with pool:
-                        for record in pool.process(items):
-                            self._fold(record)
-                            if self._stop_requested:
-                                break
-                        self.metrics.set_worker_stats(
-                            pool.worker_busy, pool.worker_records
-                        )
-                finally:
-                    self.metrics.worker_restarts = pool.restarts
-                    self.metrics.forced_terminations = pool.forced_terminations
-            exhausted_cleanly = True
+            for record in self._records(self._pulled(max_samples)):
+                self._fold(record)
+                if self._stop_requested:
+                    break
         finally:
             self.metrics.stop()
             self.source.close()
-
-        finished = (
-            exhausted_cleanly
-            and not self._stop_requested
-            and (
-                max_samples is None
-                or self._pull_seq < max_samples
-                or self._source_exhausted
-            )
-        )
-        if finished:
-            self._flush_cells()
-            if self.store is not None:
-                # The stream is done: freeze the trailing open buckets
-                # into segments so restarts (and `repro query`) see the
-                # whole history on disk.
-                self.store.seal_open()
-                self.store.maybe_compact()
-            if self.checkpointer is not None and self._n_folded:
-                # Final state (post window-flush) so a restart of a
-                # finished stream has nothing left to do.
-                with self._t_checkpoint:
-                    self.checkpointer.save(self._checkpoint_state(), self._n_folded)
-                self.metrics.checkpoints_written += 1
-        elif self.checkpointer is not None and self._safe_cursor is not None:
-            with self._t_checkpoint:
-                self.checkpointer.save(self._checkpoint_state(), self._n_folded)
-            self.metrics.checkpoints_written += 1
-
-        if self.store is not None:
-            self.store.flush()
-            self.metrics.store_stats = self.store.stats()
-            # Materialise the full (sealed + open) history so the report
-            # and every downstream consumer see the same rollup a
-            # store-less engine would have built.
-            self.rollup = self.store.to_rollup()
-
-        return StreamReport(
-            rollup=self.rollup,
-            events=list(self.detector.events),
-            metrics=self.metrics.snapshot(),
-            finished=finished,
-            samples_processed=self.rollup.n_records,
+        return self._finish(
+            seal=self._source_exhausted and not self._stop_requested
         )
 
-    # ------------------------------------------------------------------
-    # Cooperative stop
-    # ------------------------------------------------------------------
     def request_stop(self) -> None:
         """Ask a running ``run()`` loop to stop at the next record.
 
@@ -657,9 +607,7 @@ class StreamEngine:
         writes a resumable checkpoint (when one is configured), and
         returns a report with ``finished=False`` -- exactly the state a
         later ``run(resume=True)`` continues from.  Open store buckets
-        are deliberately **not** sealed: the resumed source will deliver
-        more records for them, and sealing would silently drop those
-        (see ``RollupStore.sealed_skips``).
+        are deliberately **not** sealed (see :meth:`_finish`).
         """
         self._stop_requested = True
 
@@ -678,28 +626,9 @@ class StreamEngine:
         """
         if self.source is not None:
             raise StreamError("open_push() requires a source-less engine")
-        if self.n_workers:
-            raise StreamError(
-                "push mode classifies inline; construct the engine with "
-                "n_workers=0"
-            )
         if self._push_open:
             raise StreamError("push session already open")
-        if resume:
-            if self.checkpointer is None:
-                raise StreamError(
-                    "resume requested but no checkpoint path configured"
-                )
-            self._restore()
-        elif self.store is not None and self.store.is_dirty:
-            raise StreamError(
-                "store directory already holds ingested state; resume from "
-                "its checkpoint or start over with an empty directory "
-                "(re-ingesting into a populated store would double-count)"
-            )
-        self._push_seq = self._n_folded
-        self._push_classifier = TamperingClassifier(self.classifier_config)
-        self.metrics.start()
+        self._begin(resume)
         self._stop_requested = False
         self._push_open = True
 
@@ -713,26 +642,11 @@ class StreamEngine:
         """
         if not self._push_open:
             raise StreamError("no push session open; call open_push() first")
-        folded = 0
-        for record in self._serial_records(
-            iter(items),
-            classifier=self._push_classifier,
-            seq_start=self._push_seq,
-        ):
-            self.metrics.on_sample_in()
+        before = self._n_folded
+        for record in self._records(iter(items)):
             self._fold(record)
-            self._push_seq += 1
             self._safe_cursor = self._n_folded
-            folded += 1
-        return folded
-
-    def checkpoint_now(self) -> None:
-        """Write a checkpoint of the current state immediately."""
-        if self.checkpointer is None:
-            raise StreamError("no checkpoint path configured")
-        with self._t_checkpoint:
-            self.checkpointer.save(self._checkpoint_state(), self._n_folded)
-        self.metrics.checkpoints_written += 1
+        return self._n_folded - before
 
     def drain(self, seal: bool = True) -> StreamReport:
         """End a push session: flush windows, checkpoint, seal, report.
@@ -746,25 +660,6 @@ class StreamEngine:
         if not self._push_open:
             raise StreamError("no push session open; call open_push() first")
         self.metrics.stop()
-        if seal:
-            self._flush_cells()
-            if self.store is not None:
-                self.store.seal_open()
-                self.store.maybe_compact()
-        if self.checkpointer is not None and self._n_folded:
-            with self._t_checkpoint:
-                self.checkpointer.save(self._checkpoint_state(), self._n_folded)
-            self.metrics.checkpoints_written += 1
-        if self.store is not None:
-            self.store.flush()
-            self.metrics.store_stats = self.store.stats()
-            self.rollup = self.store.to_rollup()
+        report = self._finish(seal)
         self._push_open = False
-        self._push_classifier = None
-        return StreamReport(
-            rollup=self.rollup,
-            events=list(self.detector.events),
-            metrics=self.metrics.snapshot(),
-            finished=seal,
-            samples_processed=self.rollup.n_records,
-        )
+        return report

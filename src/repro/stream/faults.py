@@ -2,8 +2,8 @@
 
 A measurement pipeline that runs unattended for weeks is defined by how
 it behaves when things break: sources hiccup and redeliver, capture
-files get truncated mid-line, workers are OOM-killed, and the process
-itself is kill-9'd between checkpoints.  This module makes every one of
+files get truncated mid-line, and the process itself is kill-9'd
+between checkpoints or mid-compaction.  This module makes every one of
 those failures *schedulable* so the recovery paths are exercised
 deterministically instead of discovered in production:
 
@@ -19,9 +19,7 @@ deterministically instead of discovered in production:
   stalls sleep, duplicates redeliver the previous item without
   advancing the cursor (the engine dedupes), and ``kill9`` takes the
   whole process down -- the hook the kill/resume drill is built on.
-* :class:`~repro.stream.shard.WorkerChaos` (re-exported) -- the pool's
-  own hook: one worker dies after N batches, abruptly or cleanly.
-* :func:`run_drill` -- the three end-to-end fire drills behind
+* :func:`run_drill` -- the end-to-end fire drills behind
   ``repro stream --drill``: each runs the pipeline under a fault plan
   and asserts the final rollup is byte-identical to an uninterrupted
   clean run.
@@ -43,7 +41,6 @@ from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StreamError, TransientSourceError
-from repro.stream.shard import ShardConfig, WorkerChaos
 from repro.stream.source import SampleSource, StreamItem
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultySource",
-    "WorkerChaos",
     "DrillResult",
     "run_drill",
 ]
@@ -61,7 +57,7 @@ __all__ = [
 FAULT_KINDS = ("error", "stall", "truncate", "duplicate", "kill9")
 
 #: The fire drills ``repro stream --drill`` knows how to run.
-DRILL_MODES = ("kill-worker", "flaky-source", "kill9-resume", "store-compaction")
+DRILL_MODES = ("flaky-source", "kill9-resume", "store-compaction")
 
 #: Plan schema version carried in :meth:`FaultPlan.to_dict`.
 FAULT_PLAN_VERSION = 1
@@ -270,13 +266,8 @@ class DrillResult:
 
     @property
     def ok(self) -> bool:
-        if not self.parity:
-            return False
-        if self.details.get("forced_terminations", 0):
-            return False  # shutdown escalated to terminate(): a hang
-        if self.details.get("obs_events_ok") is False:
-            return False  # recovery happened but left no trace span
-        return True
+        # A recovery that left no trace event fails the drill too.
+        return self.parity and self.details.get("obs_events_ok") is not False
 
     def render(self) -> str:
         lines = [
@@ -330,55 +321,11 @@ def _clean_rollup(scenario: str, connections: int, seed: int) -> dict:
     from repro.stream.engine import StreamEngine
 
     source = _drill_source(scenario, connections, seed)
-    report = StreamEngine(source, geodb=source.world.geo, n_workers=0).run()
+    report = StreamEngine(source, geodb=source.world.geo).run()
     return report.rollup.to_dict()
 
 
-def _drill_kill_worker(
-    scenario: str, connections: int, seed: int, workers: int
-) -> DrillResult:
-    """Kill one worker mid-stream; supervision must absorb it."""
-    from repro.stream.engine import StreamEngine
-
-    clean = _clean_rollup(scenario, connections, seed)
-    source = _drill_source(scenario, connections, seed)
-    shard = ShardConfig(
-        n_workers=workers, batch_size=16, max_inflight=64, max_restarts=2
-    )
-    engine = StreamEngine(
-        source,
-        geodb=source.world.geo,
-        n_workers=workers,
-        shard_config=shard,
-        worker_chaos=WorkerChaos(worker_id=0, after_batches=2, mode="kill9"),
-    )
-    began = time.monotonic()
-    report = engine.run()
-    elapsed = time.monotonic() - began
-    hardened = report.rollup.to_dict()
-    # The restart must also be visible as a trace event: operators
-    # reading an --obs export should see the recovery, not just a
-    # counter bump.
-    restart_events = len(engine.obs.tracer.events("worker.restart"))
-    restarts = report.metrics["worker_restarts"]
-    return DrillResult(
-        mode="kill-worker",
-        parity=hardened == clean,
-        samples=report.rollup.n_records,
-        details={
-            "worker_restarts": restarts,
-            "restart_events": restart_events,
-            "obs_events_ok": restart_events >= 1 if restarts else True,
-            "forced_terminations": report.metrics["forced_terminations"],
-            "elapsed_seconds": round(elapsed, 3),
-            "no_terminate_path": report.metrics["forced_terminations"] == 0,
-        },
-    )
-
-
-def _drill_flaky_source(
-    scenario: str, connections: int, seed: int, workers: int
-) -> DrillResult:
+def _drill_flaky_source(scenario: str, connections: int, seed: int) -> DrillResult:
     """Errors, stalls, truncations, and duplicates; retries must absorb them."""
     from repro.stream.engine import StreamEngine
 
@@ -397,7 +344,6 @@ def _drill_flaky_source(
     engine = StreamEngine(
         source,
         geodb=inner.world.geo,
-        n_workers=workers,
         max_source_retries=8,
         retry_backoff_seconds=0.001,
     )
@@ -411,7 +357,6 @@ def _drill_flaky_source(
             "faults_injected": dict(source.injected),
             "source_retries": report.metrics["source_retries"],
             "duplicates_dropped": report.metrics["duplicates_dropped"],
-            "forced_terminations": report.metrics["forced_terminations"],
         },
     )
 
@@ -432,7 +377,6 @@ def _kill9_engine_child(
     StreamEngine(
         FaultySource(inner, plan),
         geodb=inner.world.geo,
-        n_workers=0,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=interval,
     ).run()
@@ -476,7 +420,6 @@ def _drill_kill9_resume(
         engine = StreamEngine(
             source,
             geodb=source.world.geo,
-            n_workers=0,
             checkpoint_path=checkpoint_path,
             checkpoint_interval=interval,
         )
@@ -500,7 +443,6 @@ def _drill_kill9_resume(
                     if resumed.metrics["resumed_from"]
                     else True
                 ),
-                "forced_terminations": resumed.metrics["forced_terminations"],
             },
         )
     finally:
@@ -527,7 +469,6 @@ def _store_chaos_child(
     StreamEngine(
         inner,
         geodb=inner.world.geo,
-        n_workers=0,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=interval,
         store_dir=store_dir,
@@ -560,11 +501,11 @@ def _drill_store_compaction(
     the engine's rollup and through a fresh :class:`RollupStore` opened
     over the directory.
     """
-    from repro.store import CompactionConfig, RollupStore, StoreConfig, StoreQuery
+    from repro.store import CompactionConfig, RollupStore, StoreConfig
     from repro.stream.engine import StreamEngine
 
     source = _drill_source(scenario, connections, seed)
-    clean_report = StreamEngine(source, geodb=source.world.geo, n_workers=0).run()
+    clean_report = StreamEngine(source, geodb=source.world.geo).run()
     clean = _rollup_fingerprint(clean_report.rollup)
 
     interval = max(10, connections // 40)
@@ -601,7 +542,6 @@ def _drill_store_compaction(
         engine = StreamEngine(
             source,
             geodb=source.world.geo,
-            n_workers=0,
             checkpoint_path=checkpoint_path,
             checkpoint_interval=interval,
             store_dir=store_dir,
@@ -641,7 +581,6 @@ def _drill_store_compaction(
                 "compaction_runs_after_resume": resumed.metrics["store"][
                     "compaction_runs"
                 ],
-                "forced_terminations": resumed.metrics["forced_terminations"],
             },
         )
     finally:
@@ -657,15 +596,12 @@ def run_drill(
     scenario: str = "two-week",
     connections: int = 400,
     seed: int = 7,
-    workers: int = 2,
     checkpoint_dir: Optional[str] = None,
     store_chaos_point: str = "manifest-swapped",
 ) -> DrillResult:
     """Run one named fire drill and report parity with a clean run."""
-    if mode == "kill-worker":
-        return _drill_kill_worker(scenario, connections, seed, max(workers, 2))
     if mode == "flaky-source":
-        return _drill_flaky_source(scenario, connections, seed, workers)
+        return _drill_flaky_source(scenario, connections, seed)
     if mode == "kill9-resume":
         return _drill_kill9_resume(scenario, connections, seed, checkpoint_dir)
     if mode == "store-compaction":

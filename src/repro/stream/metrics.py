@@ -3,15 +3,14 @@
 :class:`StreamMetrics` is a handful of integer counters and gauges --
 nothing that allocates per sample -- snapshotted into the final report
 and into every checkpoint.  It answers the questions an operator asks of
-a live pipeline: how fast is it going (samples/s), how far behind is it
-(queue depth / in-flight), is work balanced (per-worker shares), and is
-anything being dropped or restarted.
+a live pipeline: how fast is it going (samples/s), how many windows
+raised anomalies, and which source faults it absorbed.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 __all__ = ["StreamMetrics"]
 
@@ -26,17 +25,10 @@ class StreamMetrics:
         self.checkpoints_written = 0
         self.anomaly_events = 0
         self.resumed_from = 0  # cursor position a resume started at
-        self.source_rejected = 0  # backpressure: source pushes refused
         self.source_retries = 0  # transient source errors absorbed
         self.duplicates_dropped = 0  # redelivered items discarded
-        self.worker_restarts = 0  # dead workers respawned by supervision
-        self.forced_terminations = 0  # workers that needed terminate()
-        self.queue_depth = 0  # gauge: records in flight right now
-        self.max_queue_depth = 0
         self._started: Optional[float] = None
         self._stopped: Optional[float] = None
-        #: worker id -> {"records": n, "busy_seconds": s}
-        self.workers: Dict[int, Dict[str, float]] = {}
         #: RollupStore.stats() snapshot, when the engine runs store-backed
         self.store_stats: Optional[dict] = None
         #: The engine's Observability layer (set by StreamEngine); its
@@ -61,37 +53,16 @@ class StreamMetrics:
     # ------------------------------------------------------------------
     def on_sample_in(self) -> None:
         self.samples_in += 1
-        self.queue_depth = self.samples_in - self.records_out
-        if self.queue_depth > self.max_queue_depth:
-            self.max_queue_depth = self.queue_depth
 
     def on_record_out(self, is_tampering: bool) -> None:
         self.records_out += 1
-        self.queue_depth = self.samples_in - self.records_out
         if is_tampering:
             self.tampering_matches += 1
-
-    def set_worker_stats(self, busy: Dict[int, float], records: Dict[int, int]) -> None:
-        for worker_id, seconds in busy.items():
-            self.workers[worker_id] = {
-                "records": float(records.get(worker_id, 0)),
-                "busy_seconds": seconds,
-            }
 
     # ------------------------------------------------------------------
     def samples_per_second(self) -> float:
         elapsed = self.elapsed_seconds
         return self.records_out / elapsed if elapsed > 0 else 0.0
-
-    def worker_utilization(self) -> Dict[int, float]:
-        """Busy-time share of wall time per worker (0..1)."""
-        elapsed = self.elapsed_seconds
-        if elapsed <= 0:
-            return {w: 0.0 for w in self.workers}
-        return {
-            worker_id: min(stats["busy_seconds"] / elapsed, 1.0)
-            for worker_id, stats in self.workers.items()
-        }
 
     def snapshot(self) -> dict:
         """JSON-safe dump of every counter plus derived rates."""
@@ -102,22 +73,10 @@ class StreamMetrics:
             "checkpoints_written": self.checkpoints_written,
             "anomaly_events": self.anomaly_events,
             "resumed_from": self.resumed_from,
-            "source_rejected": self.source_rejected,
             "source_retries": self.source_retries,
             "duplicates_dropped": self.duplicates_dropped,
-            "worker_restarts": self.worker_restarts,
-            "forced_terminations": self.forced_terminations,
-            "queue_depth": self.queue_depth,
-            "max_queue_depth": self.max_queue_depth,
             "elapsed_seconds": self.elapsed_seconds,
             "samples_per_second": self.samples_per_second(),
-            "workers": {
-                str(worker_id): dict(stats) for worker_id, stats in self.workers.items()
-            },
-            "worker_utilization": {
-                str(worker_id): round(share, 4)
-                for worker_id, share in self.worker_utilization().items()
-            },
         }
         if self.store_stats is not None:
             snap["store"] = dict(self.store_stats)
@@ -133,22 +92,13 @@ class StreamMetrics:
             f"tampering matches: {snap['tampering_matches']}",
             f"throughput: {snap['samples_per_second']:,.0f} samples/s "
             f"over {snap['elapsed_seconds']:.2f}s",
-            f"max in-flight: {snap['max_queue_depth']}",
             f"checkpoints written: {snap['checkpoints_written']}",
             f"anomaly events: {snap['anomaly_events']}",
         ]
-        faults = (
-            self.source_retries
-            + self.duplicates_dropped
-            + self.worker_restarts
-            + self.forced_terminations
-        )
-        if faults:
+        if self.source_retries or self.duplicates_dropped:
             lines.append(
                 f"faults survived: {snap['source_retries']} source retries, "
-                f"{snap['duplicates_dropped']} duplicates dropped, "
-                f"{snap['worker_restarts']} worker restarts, "
-                f"{snap['forced_terminations']} forced terminations"
+                f"{snap['duplicates_dropped']} duplicates dropped"
             )
         if self.store_stats is not None:
             store = self.store_stats
@@ -158,13 +108,4 @@ class StreamMetrics:
                 f"{store['open_buckets']} open, "
                 f"{store['compaction_runs']} compactions"
             )
-        if snap["workers"]:
-            util = ", ".join(
-                f"w{worker_id}={share:.0%}"
-                for worker_id, share in sorted(
-                    snap["worker_utilization"].items(),
-                    key=lambda kv: int(kv[0]),
-                )
-            )
-            lines.append(f"worker utilization: {util}")
         return "\n".join(lines)

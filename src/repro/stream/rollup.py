@@ -1,7 +1,6 @@
 """Incremental windowed aggregation over the classified stream.
 
-:class:`StreamRollup` consumes :class:`~repro.stream.shard.StreamRecord`
-values one at a time and maintains per-country × signature × hour
+:class:`StreamRollup` consumes :class:`StreamRecord` values one at a time and maintains per-country × signature × hour
 counters -- everything the headline batch analyses read -- without
 retaining a single sample.  Its query methods reproduce the
 corresponding :class:`~repro.core.aggregate.AnalysisDataset` results
@@ -10,29 +9,78 @@ percentage arithmetic follows the batch implementation exactly,
 including accumulation order (per-country signature tallies are kept in
 first-seen order, the order a batch ``Counter`` would iterate).
 
-Rollups are **mergeable** (partial rollups from stream slices combine
-associatively as long as slices are concatenated in stream order) and
-**serialisable** (plain-JSON state for checkpoints).
+Rollups are **serialisable** (plain-JSON state for checkpoints).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.classifier import ClassificationResult
 from repro.core.model import SignatureId, Stage
 from repro.errors import StreamError
-from repro.stream.shard import StreamRecord
 
-__all__ = ["StreamRollup", "DEFAULT_BUCKET_SECONDS"]
+__all__ = ["StreamRecord", "StreamRollup", "DEFAULT_BUCKET_SECONDS"]
 
 #: One hour -- the granularity of the paper's Radar-style aggregates.
 DEFAULT_BUCKET_SECONDS = 3600.0
 
 
+@dataclasses.dataclass(frozen=True)
+class StreamRecord:
+    """A classified connection, reduced to what aggregation reads.
+
+    This is the unit :class:`StreamRollup` and the durable store fold;
+    ``country``/``asn`` are filled in by the engine's geolocation step.
+    """
+
+    seq: int
+    conn_id: int
+    signature: SignatureId
+    stage: Stage
+    possibly_tampered: bool
+    client_ip: str
+    ip_version: int
+    server_port: int
+    ts: float
+    country: str = "??"
+    asn: int = -1
+
+    @classmethod
+    def from_result(
+        cls,
+        result: ClassificationResult,
+        seq: int,
+        ts: Optional[float] = None,
+    ) -> "StreamRecord":
+        sample = result.sample
+        if ts is None:
+            ts = min((p.ts for p in sample.packets), default=0.0)
+        return cls(
+            seq=seq,
+            conn_id=sample.conn_id,
+            signature=result.signature,
+            stage=result.stage,
+            possibly_tampered=result.possibly_tampered,
+            client_ip=sample.client_ip,
+            ip_version=sample.ip_version,
+            server_port=sample.server_port,
+            ts=ts,
+        )
+
+    def located(self, country: str, asn: int) -> "StreamRecord":
+        return dataclasses.replace(self, country=country, asn=asn)
+
+    @property
+    def is_tampering(self) -> bool:
+        return self.signature.is_tampering
+
+
 class StreamRollup:
-    """Mergeable per-country × signature × hour counters."""
+    """Per-country × signature × hour counters."""
 
     def __init__(self, bucket_seconds: float = DEFAULT_BUCKET_SECONDS) -> None:
         if bucket_seconds <= 0:
@@ -95,57 +143,8 @@ class StreamRollup:
             self.max_ts = record.ts
 
     # ------------------------------------------------------------------
-    # Merge / serialise
+    # Serialise
     # ------------------------------------------------------------------
-    def merge(self, other: "StreamRollup") -> None:
-        """Fold a later partial rollup into this one (in stream order).
-
-        Merging slices out of stream order would silently break batch
-        parity: ``by_signature`` keys would land in the wrong first-seen
-        order, changing float accumulation in the percentage queries.
-        The time extents make the reversal detectable -- a slice that
-        ends strictly before this rollup begins cannot be "later".
-        """
-        if other.bucket_seconds != self.bucket_seconds:
-            raise StreamError("cannot merge rollups with different bucket sizes")
-        if (
-            self.min_ts is not None
-            and other.max_ts is not None
-            and other.max_ts < self.min_ts
-        ):
-            raise StreamError(
-                f"out-of-order merge: incoming slice ends at {other.max_ts} "
-                f"but this rollup already starts at {self.min_ts}; partial "
-                f"rollups must be merged in stream order to preserve "
-                f"first-seen key ordering (batch parity)"
-            )
-        self.n_records += other.n_records
-        for country, n in other.totals.items():
-            self.totals[country] = self.totals.get(country, 0) + n
-        for country, sigs in other.by_signature.items():
-            mine = self.by_signature.setdefault(country, {})
-            for sig, n in sigs.items():
-                mine[sig] = mine.get(sig, 0) + n
-        for cell, n in other.bucket_totals.items():
-            self.bucket_totals[cell] = self.bucket_totals.get(cell, 0) + n
-        for cell, n in other.bucket_matches.items():
-            self.bucket_matches[cell] = self.bucket_matches.get(cell, 0) + n
-        for cell, n in other.bucket_signature.items():
-            self.bucket_signature[cell] = self.bucket_signature.get(cell, 0) + n
-        self.possibly_tampered += other.possibly_tampered
-        for key, n in other.stage_counts.items():
-            self.stage_counts[key] = self.stage_counts.get(key, 0) + n
-        for key, n in other.stage_matched.items():
-            self.stage_matched[key] = self.stage_matched.get(key, 0) + n
-        self.signature_counts.update(other.signature_counts)
-        for ts in (other.min_ts, other.max_ts):
-            if ts is None:
-                continue
-            if self.min_ts is None or ts < self.min_ts:
-                self.min_ts = ts
-            if self.max_ts is None or ts > self.max_ts:
-                self.max_ts = ts
-
     def to_dict(self) -> dict:
         """JSON-safe state; list-of-rows encodings preserve key order."""
         return {

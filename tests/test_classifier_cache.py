@@ -1,12 +1,11 @@
 """Cached-vs-uncached parity: the fast path must change nothing.
 
-The feature-key memo (:mod:`repro.core.featurekey`) and the
-``classify_batch`` worker pool are pure performance features; these
-tests enforce the tentpole invariant that every Table 1 decision --
-signature, stage, ``possibly_tampered``, ``silence_gap``,
-``n_data_segments`` (plus protocol/domain, which are never memoized) --
-is bit-identical with and without them, over randomized, shuffled and
-truncated captures covering all 19 signatures.
+The feature-key memo (:mod:`repro.core.featurekey`) is a pure
+performance feature; these tests enforce the invariant that every
+Table 1 decision -- signature, stage, ``possibly_tampered``,
+``silence_gap``, ``n_data_segments`` (plus protocol/domain, which are
+never memoized) -- is bit-identical with and without it, over
+randomized, shuffled and truncated captures covering all 19 signatures.
 """
 
 from __future__ import annotations
@@ -169,8 +168,6 @@ class TestCacheConfig:
     def test_cache_size_validation(self):
         with pytest.raises(ClassificationError):
             ClassifierConfig(cache_size=-1)
-        with pytest.raises(ClassificationError):
-            TamperingClassifier().classify_batch([], workers=-1)
 
     def test_cache_disabled_records_nothing(self):
         classifier = TamperingClassifier(ClassifierConfig(cache_size=0))
@@ -321,41 +318,3 @@ class TestRandomizedParity:
         seen = {r.signature for r in results_c if r.signature.is_tampering}
         assert len(seen) >= 10  # a broad slice of the 19-signature catalogue
         assert cached.cache_info().hit_rate > 0.5
-
-
-class TestBatchParity:
-    def test_classify_batch_matches_sequential(self):
-        rng = random.Random(7)
-        captures = [_random_capture(rng, conn_id=i) for i in range(240)]
-        classifier = TamperingClassifier()
-        sequential = classifier.classify_all(captures)
-        parallel = TamperingClassifier().classify_batch(captures, workers=2, batch_size=16)
-        assert len(parallel) == len(sequential)
-        for seq_result, par_result in zip(sequential, parallel):
-            assert _decision(seq_result) == _decision(par_result)
-            assert par_result.sample is seq_result.sample  # caller's objects
-
-    def test_classify_batch_derives_protocol_and_domain(self):
-        rng = random.Random(9)
-        captures = _payload_captures() + [
-            _random_capture(rng, conn_id=i) for i in range(10, 40)
-        ]
-        sequential = TamperingClassifier().classify_all(captures)
-        parallel = TamperingClassifier().classify_batch(captures, workers=2, batch_size=8)
-        assert [(r.protocol, r.domain) for r in parallel] == [
-            (r.protocol, r.domain) for r in sequential
-        ]
-        assert [(r.protocol, r.domain) for r in parallel[:3]] == [
-            ("tls", "tls.example"), ("http", "http.example"), (None, None),
-        ]
-
-    def test_classify_batch_serial_fallback(self):
-        rng = random.Random(8)
-        captures = [_random_capture(rng, conn_id=i) for i in range(20)]
-        classifier = TamperingClassifier()
-        assert [_decision(r) for r in classifier.classify_batch(captures, workers=0)] == [
-            _decision(r) for r in classifier.classify_all(captures)
-        ]
-
-    def test_classify_batch_empty(self):
-        assert TamperingClassifier().classify_batch([], workers=4) == []

@@ -21,19 +21,17 @@ class TestParser:
 
     def test_stream_args(self):
         args = build_parser().parse_args(
-            ["stream", "-n", "500", "-w", "2", "--checkpoint", "ck.json"]
+            ["stream", "-n", "500", "--checkpoint", "ck.json"]
         )
         assert args.connections == 500
-        assert args.workers == 2
         assert args.checkpoint == "ck.json"
         assert not args.resume
         assert not args.no_cache
 
     def test_classify_fast_path_args(self):
         args = build_parser().parse_args(
-            ["classify", "s.jsonl", "--workers", "4", "--no-cache"]
+            ["classify", "s.jsonl", "--no-cache"]
         )
-        assert args.workers == 4
         assert args.no_cache
         assert args.cache_size is None
 
@@ -58,7 +56,7 @@ class TestCommands:
         assert "not_tampering" in text
         assert "connections" in text
 
-    def test_classify_workers_and_cache_flags_agree(self, tmp_path, capsys):
+    def test_classify_cache_flags_agree(self, tmp_path, capsys):
         out_path = str(tmp_path / "samples.jsonl")
         assert main(["simulate", "-n", "60", "--seed", "5", "-o", out_path]) == 0
         capsys.readouterr()
@@ -67,10 +65,8 @@ class TestCommands:
         cached = capsys.readouterr().out
         assert main(["classify", out_path, "--no-cache"]) == 0
         uncached = capsys.readouterr().out
-        assert main(["classify", out_path, "--workers", "2"]) == 0
-        sharded = capsys.readouterr().out
-        # Identical signature tables from all three paths.
-        assert cached == uncached == sharded
+        # Identical signature tables from both paths.
+        assert cached == uncached
 
     def test_classify_cache_size_flag(self, tmp_path, capsys):
         out_path = str(tmp_path / "samples.jsonl")

@@ -336,9 +336,7 @@ class TestObservability:
 class _FakeMetrics:
     def __init__(self, records=0):
         self.records_out = records
-        self.queue_depth = 2
         self.anomaly_events = 1
-        self.worker_restarts = 0
         self.source_retries = 0
 
     def samples_per_second(self):
@@ -361,9 +359,8 @@ class TestProgressReporter:
         assert reporter.lines_emitted == 1
         assert len(lines) == 1
         assert "progress: 100 records" in lines[0]
-        assert "queue 2" in lines[0]
         assert "1 anomalies" in lines[0]
-        assert "restarts" not in lines[0]
+        assert "retries" not in lines[0]
 
     def test_interval_rate_uses_delta(self):
         clock = {"t": 0.0}
@@ -385,11 +382,9 @@ class TestProgressReporter:
             interval_seconds=1.0, sink=lines.append, clock=lambda: clock["t"]
         )
         metrics = _FakeMetrics(records=10)
-        metrics.worker_restarts = 2
         metrics.source_retries = 3
         clock["t"] = 12.0
         reporter.maybe_report(metrics)
-        assert "2 worker restarts" in lines[0]
         assert "3 source retries" in lines[0]
 
     def test_rejects_non_positive_interval(self):
@@ -402,7 +397,7 @@ class TestProgressReporter:
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
     def test_serial_run_populates_stage_metrics(self, study):
-        engine = StreamEngine(make_source(study), n_workers=0)
+        engine = StreamEngine(make_source(study))
         report = engine.run()
         snap = report.metrics
         assert "obs" in snap
@@ -425,7 +420,7 @@ class TestEngineIntegration:
         assert snap["obs"]["spans"]["total_spans"] > 0
 
     def test_null_obs_disables_snapshot_section(self, study):
-        engine = StreamEngine(make_source(study), n_workers=0, obs=NULL_OBS)
+        engine = StreamEngine(make_source(study), obs=NULL_OBS)
         report = engine.run(max_samples=50)
         assert "obs" not in report.metrics
         assert report.samples_processed == 50  # the pipeline itself still works
@@ -435,7 +430,6 @@ class TestEngineIntegration:
 
         engine = StreamEngine(
             make_source(study),
-            n_workers=0,
             classifier_config=ClassifierConfig(cache_size=0),
         )
         report = engine.run(max_samples=40)
@@ -447,7 +441,7 @@ class TestEngineIntegration:
 
     def test_store_run_times_wal_and_seal(self, study, tmp_path):
         engine = StreamEngine(
-            make_source(study), n_workers=0, store_dir=str(tmp_path / "store")
+            make_source(study), store_dir=str(tmp_path / "store")
         )
         report = engine.run()
         hists = report.metrics["obs"]["histograms"]
@@ -457,33 +451,20 @@ class TestEngineIntegration:
 
     def test_resume_emits_engine_resume_event(self, study, tmp_path):
         ck = str(tmp_path / "ck.json")
-        StreamEngine(make_source(study), n_workers=0, checkpoint_path=ck).run(
+        StreamEngine(make_source(study), checkpoint_path=ck).run(
             max_samples=120
         )
-        engine = StreamEngine(make_source(study), n_workers=0, checkpoint_path=ck)
+        engine = StreamEngine(make_source(study), checkpoint_path=ck)
         report = engine.run(resume=True)
         events = engine.obs.tracer.events("engine.resume")
         assert len(events) == 1
         assert events[0]["attrs"]["samples_done"] == 120
         assert report.metrics["obs"]["counters"]["engine.resumes"] == 1
 
-    def test_sharded_run_records_dispatch_and_batches(self, study):
-        engine = StreamEngine(make_source(study), n_workers=2)
-        report = engine.run(max_samples=200)
-        hists = report.metrics["obs"]["histograms"]
-        assert hists["shard.dispatch"]["count"] > 0
-        assert hists["shard.collect"]["count"] > 0
-        assert hists["classify.batch"]["count"] > 0
-        counters = report.metrics["obs"]["counters"]
-        assert (
-            counters["classify.cache_hits"] + counters["classify.cache_misses"]
-            == 200
-        )
-
     def test_progress_reporter_wired_through_engine(self, study):
         lines = []
         reporter = ProgressReporter(interval_seconds=1e-9, sink=lines.append)
-        engine = StreamEngine(make_source(study), n_workers=0, progress=reporter)
+        engine = StreamEngine(make_source(study), progress=reporter)
         engine.run(max_samples=30)
         assert reporter.lines_emitted > 0
         assert lines and lines[0].startswith("progress: ")

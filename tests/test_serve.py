@@ -532,7 +532,7 @@ def offline_store(study, directory, samples=None):
         timestamps=study.timestamps,
     )
     engine = StreamEngine(
-        source, geodb=study.geo, n_workers=0, store_dir=directory
+        source, geodb=study.geo, store_dir=directory
     )
     report = engine.run()
     engine.store.close()
@@ -749,7 +749,7 @@ class TestServeCli:
         offline = str(tmp_path / "offline")
         engine = StreamEngine(
             IterableSource(study.samples, timestamps=study.timestamps),
-            n_workers=0, store_dir=offline,
+            store_dir=offline,
         )
         engine.run()
         engine.store.close()

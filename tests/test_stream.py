@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.stream`: sources, sharding, rollups,
-checkpoint/resume, and live anomaly detection.
+"""Tests for :mod:`repro.stream`: sources, rollups, checkpoint/resume,
+push mode, and live anomaly detection.
 
 The two load-bearing guarantees:
 
@@ -13,7 +13,6 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +21,6 @@ import pytest
 
 from repro.cdn.collector import write_samples_jsonl
 from repro.core.aggregate import AnalysisDataset
-from repro.core.classifier import TamperingClassifier
 from repro.errors import CheckpointError, StreamError
 from repro.stream import (
     AnomalyConfig,
@@ -32,14 +30,9 @@ from repro.stream import (
     IterableSource,
     JsonlDirectorySource,
     JsonlSource,
-    ShardConfig,
-    ShardedClassifierPool,
-    SimulatorSource,
     StreamEngine,
     StreamItem,
     StreamRollup,
-    serial_records,
-    shard_of,
 )
 from repro.workloads.profiles import profile_for
 from repro.workloads.scenarios import (
@@ -163,66 +156,12 @@ class TestSources:
 
 
 # ----------------------------------------------------------------------
-# Sharded pool
-# ----------------------------------------------------------------------
-class TestShardedPool:
-    def test_shard_of_stable_and_in_range(self):
-        assert all(0 <= shard_of(i, 4) < 4 for i in range(100))
-        assert shard_of(12345, 4) == shard_of(12345, 4)
-
-    def test_pool_matches_serial_in_order(self, study):
-        reference = serial_records(study.samples, study.timestamps)
-        config = ShardConfig(n_workers=2, batch_size=16, max_inflight=64)
-        with ShardedClassifierPool(config) as pool:
-            records = pool.map_samples(study.samples, study.timestamps)
-        assert records == reference
-
-    def test_pool_is_lazy_and_bounded(self, study):
-        """The pool never pulls more than max_inflight ahead of the merge."""
-        pulled = []
-
-        def instrumented():
-            for sample in study.samples[:120]:
-                pulled.append(sample.conn_id)
-                yield StreamItem(sample=sample)
-
-        config = ShardConfig(n_workers=2, batch_size=8, max_inflight=32)
-        max_lead = 0
-        with ShardedClassifierPool(config) as pool:
-            for count, record in enumerate(pool.process(instrumented()), start=1):
-                max_lead = max(max_lead, len(pulled) - count)
-        assert count == 120
-        # one extra item may be in hand when saturation is detected
-        assert max_lead <= config.max_inflight + 1
-
-    def test_worker_death_raises(self, study):
-        config = ShardConfig(n_workers=2, batch_size=4, max_inflight=16,
-                             poll_seconds=0.05)
-        pool = ShardedClassifierPool(config)
-        pool.start()
-        # kill a worker out from under the pool
-        pool._workers[0].terminate()
-        pool._workers[0].join()
-        with pytest.raises(StreamError, match="died|failed"):
-            list(pool.process(
-                StreamItem(sample=s) for s in study.samples[:200]
-            ))
-        pool.close()
-
-    def test_pool_tracks_worker_stats(self, study):
-        config = ShardConfig(n_workers=2, batch_size=16, max_inflight=64)
-        with ShardedClassifierPool(config) as pool:
-            pool.map_samples(study.samples[:100])
-        assert sum(pool.worker_records.values()) == 100
-
-
-# ----------------------------------------------------------------------
 # Rollup parity with the batch pipeline
 # ----------------------------------------------------------------------
 class TestRollupParity:
     @pytest.fixture(scope="class")
     def report(self, study):
-        engine = StreamEngine(make_source(study), geodb=study.geo, n_workers=0)
+        engine = StreamEngine(make_source(study), geodb=study.geo)
         return engine.run()
 
     def test_country_tampering_rate_identical(self, report, batch_dataset):
@@ -249,49 +188,6 @@ class TestRollupParity:
         assert report.rollup.n_records == len(study.samples)
         assert report.finished
 
-    def test_sharded_engine_same_rollup(self, study, report):
-        engine = StreamEngine(
-            make_source(study),
-            geodb=study.geo,
-            n_workers=2,
-            shard_config=ShardConfig(n_workers=2, batch_size=16, max_inflight=64),
-        )
-        sharded = engine.run()
-        assert sharded.rollup.to_dict() == report.rollup.to_dict()
-
-    def test_rollup_merge_equals_single_pass(self, study):
-        records = serial_records(study.samples, study.timestamps)
-        whole = StreamRollup()
-        for record in records:
-            whole.add(record)
-        first, second = StreamRollup(), StreamRollup()
-        for record in records[:200]:
-            first.add(record)
-        for record in records[200:]:
-            second.add(record)
-        first.merge(second)
-        assert first.to_dict() == whole.to_dict()
-
-    def test_rollup_merge_out_of_order_raises(self, study):
-        records = serial_records(study.samples, study.timestamps)
-        mid = records[200].ts
-        early, late = StreamRollup(), StreamRollup()
-        for record in records:
-            if record.ts < mid:
-                early.add(record)
-            elif record.ts > mid:
-                late.add(record)
-        # Merging the earlier slice *into* the later one would scramble
-        # first-seen key order (batch parity); the extents catch it.
-        with pytest.raises(StreamError, match="out-of-order merge"):
-            late.merge(early)
-
-    def test_rollup_merge_rejects_bucket_size_mismatch(self):
-        with pytest.raises(StreamError, match="bucket sizes"):
-            StreamRollup(bucket_seconds=3600.0).merge(
-                StreamRollup(bucket_seconds=1800.0)
-            )
-
     def test_rollup_serialization_roundtrip(self, report):
         data = json.loads(json.dumps(report.rollup.to_dict()))
         restored = StreamRollup.from_dict(data)
@@ -316,14 +212,14 @@ class TestCheckpointResume:
     def test_kill_and_resume_yields_identical_rollups(self, study, tmp_path):
         ck = str(tmp_path / "ck.json")
         baseline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
+            make_source(study), geodb=study.geo
         ).run()
 
         # "kill" mid-run: stop after 230 samples (checkpoint every 50,
         # so the last checkpoint is at 200 -- resume must redo 201-230
         # against the checkpointed state, not double-count them)
         engine1 = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         )
         partial = engine1.run(max_samples=230)
@@ -331,7 +227,7 @@ class TestCheckpointResume:
         assert os.path.exists(ck)
 
         engine2 = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         )
         resumed = engine2.run(resume=True)
@@ -342,35 +238,19 @@ class TestCheckpointResume:
             e.to_dict() for e in baseline.events
         ]
 
-    def test_resume_with_sharded_pool(self, study, tmp_path):
-        ck = str(tmp_path / "ck.json")
-        baseline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
-        ).run()
-        shard = ShardConfig(n_workers=2, batch_size=16, max_inflight=64)
-        StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=2,
-            shard_config=shard, checkpoint_path=ck, checkpoint_interval=64,
-        ).run(max_samples=150)
-        resumed = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=2,
-            shard_config=shard, checkpoint_path=ck, checkpoint_interval=64,
-        ).run(resume=True)
-        assert resumed.rollup.to_dict() == baseline.rollup.to_dict()
-
     def test_resume_from_simulator_source(self, tmp_path):
         ck = str(tmp_path / "ck.json")
         source = two_week_stream_source(n_connections=80, seed=21)
-        baseline = StreamEngine(source, geodb=source.world.geo, n_workers=0).run()
+        baseline = StreamEngine(source, geodb=source.world.geo).run()
 
         source1 = two_week_stream_source(n_connections=80, seed=21)
         StreamEngine(
-            source1, geodb=source1.world.geo, n_workers=0,
+            source1, geodb=source1.world.geo,
             checkpoint_path=ck, checkpoint_interval=20,
         ).run(max_samples=35)
         source2 = two_week_stream_source(n_connections=80, seed=21)
         resumed = StreamEngine(
-            source2, geodb=source2.world.geo, n_workers=0,
+            source2, geodb=source2.world.geo,
             checkpoint_path=ck, checkpoint_interval=20,
         ).run(resume=True)
         assert resumed.rollup.to_dict() == baseline.rollup.to_dict()
@@ -555,7 +435,6 @@ class TestAnomalyScenarios:
         engine = StreamEngine(
             IterableSource(iran.samples, timestamps=iran.timestamps),
             geodb=iran.geo,
-            n_workers=0,
         )
         report = engine.run()
         ir_starts = [
@@ -577,7 +456,6 @@ class TestAnomalyScenarios:
         quiet = StreamEngine(
             IterableSource(us_study.samples, timestamps=us_study.timestamps),
             geodb=us_study.geo,
-            n_workers=0,
         ).run()
         assert [e for e in quiet.events if e.country == "US"] == []
 
@@ -587,30 +465,29 @@ class TestAnomalyScenarios:
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_metrics_snapshot(self, study):
-        engine = StreamEngine(make_source(study), geodb=study.geo, n_workers=0)
+        engine = StreamEngine(make_source(study), geodb=study.geo)
         report = engine.run(max_samples=100)
         snap = report.metrics
         assert snap["samples_in"] == 100
         assert snap["records_out"] == 100
-        assert snap["queue_depth"] == 0
         assert snap["samples_per_second"] > 0
         assert "throughput" in engine.metrics.render()
 
     def test_report_render(self, study):
         report = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
+            make_source(study), geodb=study.geo
         ).run()
         text = report.render()
         assert "top tampered countries" in text
         assert "anomalies" in text
 
     def test_without_geodb_all_unattributed(self, study):
-        report = StreamEngine(make_source(study), n_workers=0).run(max_samples=50)
+        report = StreamEngine(make_source(study)).run(max_samples=50)
         assert report.rollup.countries == ["??"]
 
     def test_ripe_cells_close_at_boundaries_and_on_late_records(self, study, tmp_path):
         engine = StreamEngine(
-            None, n_workers=0, bucket_seconds=3600.0,
+            None, bucket_seconds=3600.0,
             store_dir=str(tmp_path / "store"),
         )
         observed = []
@@ -677,12 +554,12 @@ class TestCooperativeStop:
     ):
         ck = str(tmp_path / "ck.json")
         baseline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
+            make_source(study), geodb=study.geo
         ).run()
 
         source = _StopTriggerSource(make_source(study), after=217)
         engine1 = StreamEngine(
-            source, geodb=study.geo, n_workers=0,
+            source, geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         )
         source.engine = engine1
@@ -692,7 +569,7 @@ class TestCooperativeStop:
         assert os.path.exists(ck)
 
         resumed = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         ).run(resume=True)
         assert resumed.finished
@@ -703,7 +580,7 @@ class TestCooperativeStop:
 
     def test_request_stop_with_store_resumes_identically(self, study, tmp_path):
         offline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             store_dir=str(tmp_path / "offline"),
         ).run()
 
@@ -711,7 +588,7 @@ class TestCooperativeStop:
         store_dir = str(tmp_path / "stopped")
         source = _StopTriggerSource(make_source(study), after=301)
         engine1 = StreamEngine(
-            source, geodb=study.geo, n_workers=0,
+            source, geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
             store_dir=store_dir,
         )
@@ -721,7 +598,7 @@ class TestCooperativeStop:
         engine1.store.close()
 
         engine2 = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
             store_dir=store_dir,
         )
@@ -736,7 +613,7 @@ class TestCooperativeStop:
         ck = str(tmp_path / "ck.json")
         source = _StopTriggerSource(make_source(study), after=3)
         engine = StreamEngine(
-            source, geodb=study.geo, n_workers=0,
+            source, geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         )
         source.engine = engine
@@ -746,10 +623,23 @@ class TestCooperativeStop:
         # stop path writes a final resumable checkpoint anyway.
         assert os.path.exists(ck)
         resumed = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=50,
         ).run(resume=True)
         assert resumed.rollup.n_records == len(study.samples)
+
+
+def store_files(directory):
+    """Segment files and MANIFEST.json of a store: relative path -> bytes."""
+    files = {}
+    for dirpath, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, directory)
+            if rel == "MANIFEST.json" or rel.startswith("segments" + os.sep):
+                with open(path, "rb") as fh:
+                    files[rel] = fh.read()
+    return files
 
 
 class TestPushMode:
@@ -759,12 +649,28 @@ class TestPushMode:
             for s in study.samples
         ]
 
+    def test_push_store_bytes_match_pull(self, study, tmp_path):
+        pulled_dir = str(tmp_path / "pulled")
+        StreamEngine(make_source(study), geodb=study.geo, store_dir=pulled_dir).run()
+
+        pushed_dir = str(tmp_path / "pushed")
+        engine = StreamEngine(None, geodb=study.geo, store_dir=pushed_dir)
+        engine.open_push()
+        items = self._items(study)
+        for start in range(0, len(items), 97):
+            engine.push_items(items[start:start + 97])
+        engine.drain()
+        engine.store.close()
+        pulled = store_files(pulled_dir)
+        assert "MANIFEST.json" in pulled and len(pulled) > 1
+        assert store_files(pushed_dir) == pulled
+
     def test_push_matches_pull_exactly(self, study, tmp_path):
         baseline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
+            make_source(study), geodb=study.geo
         ).run()
 
-        engine = StreamEngine(None, geodb=study.geo, n_workers=0)
+        engine = StreamEngine(None, geodb=study.geo)
         engine.open_push()
         items = self._items(study)
         total = 0
@@ -780,7 +686,7 @@ class TestPushMode:
 
     def test_push_store_pause_resume_parity(self, study, tmp_path):
         offline = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0,
+            make_source(study), geodb=study.geo,
             store_dir=str(tmp_path / "offline"),
         ).run()
 
@@ -790,7 +696,7 @@ class TestPushMode:
         cut = len(items) // 2  # mid-bucket is fine: pause does not seal
 
         engine1 = StreamEngine(
-            None, geodb=study.geo, n_workers=0,
+            None, geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=100,
             store_dir=store_dir,
         )
@@ -801,7 +707,7 @@ class TestPushMode:
         engine1.store.close()
 
         engine2 = StreamEngine(
-            None, geodb=study.geo, n_workers=0,
+            None, geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=100,
             store_dir=store_dir,
         )
@@ -814,15 +720,14 @@ class TestPushMode:
             e.to_dict() for e in offline.events
         ]
         engine2.store.close()
+        assert store_files(store_dir) == store_files(str(tmp_path / "offline"))
 
     def test_push_mode_guards(self, study):
         with pytest.raises(StreamError, match="source-less"):
-            StreamEngine(None, n_workers=0).run()
+            StreamEngine(None).run()
         with pytest.raises(StreamError, match="source-less"):
-            StreamEngine(make_source(study), n_workers=0).open_push()
-        with pytest.raises(StreamError, match="n_workers=0"):
-            StreamEngine(None, n_workers=2).open_push()
-        engine = StreamEngine(None, n_workers=0)
+            StreamEngine(make_source(study)).open_push()
+        engine = StreamEngine(None)
         with pytest.raises(StreamError, match="push session"):
             engine.push_items([])
         with pytest.raises(StreamError, match="push session"):
@@ -833,7 +738,7 @@ class TestPushMode:
         with pytest.raises(StreamError, match="no checkpoint path"):
             engine.checkpoint_now()
         with pytest.raises(StreamError, match="no checkpoint path"):
-            StreamEngine(None, n_workers=0).open_push(resume=True)
+            StreamEngine(None).open_push(resume=True)
 
 
 @pytest.mark.chaos
@@ -892,7 +797,7 @@ class TestStreamSignals:
         from repro.store import RollupStore
 
         offline = StreamEngine(
-            JsonlSource(samples_path), n_workers=0,
+            JsonlSource(samples_path),
             store_dir=str(tmp_path / "offline"),
         ).run()
         reader = RollupStore.open_read_only(store_dir)

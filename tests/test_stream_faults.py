@@ -1,19 +1,16 @@
 """Tests for :mod:`repro.stream.faults` and the lifecycle hardening it
-motivates: seeded fault plans, flaky-source retry/dedupe, supervised
-worker restart, graceful pool shutdown, and the cluster of
-shutdown/resume bugfix regressions (exact-``max_samples`` ``finished``,
-dropped shutdown sentinels, exit-0 worker deaths, cursors past EOF,
-string-sorted worker metrics).
+motivates: seeded fault plans, flaky-source retry/dedupe, and the
+cluster of shutdown/resume bugfix regressions (exact-``max_samples``
+``finished``, cursors past EOF).
 
-The multiprocessing-heavy end-to-end drills are marked ``chaos`` and run
-in their own CI job; everything else stays in the default fast run.
+The end-to-end drills (which fork and SIGKILL a child engine) are marked
+``chaos`` and run in their own CI job; everything else stays in the
+default fast run.
 """
 
 from __future__ import annotations
 
 import json
-import queue as queue_module
-import time
 
 import pytest
 
@@ -26,14 +23,9 @@ from repro.stream import (
     IterableSource,
     JsonlDirectorySource,
     JsonlSource,
-    ShardConfig,
-    ShardedClassifierPool,
     StreamEngine,
-    StreamItem,
     StreamMetrics,
-    WorkerChaos,
     run_drill,
-    serial_records,
 )
 from repro.workloads.scenarios import two_week_study
 
@@ -49,7 +41,7 @@ def make_source(study, n=None):
 
 
 def clean_rollup(study, n=None):
-    return StreamEngine(make_source(study, n), geodb=study.geo, n_workers=0).run()
+    return StreamEngine(make_source(study, n), geodb=study.geo).run()
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +84,6 @@ class TestFaultPlan:
             FaultPlan.generate(1, 10, error_rate=1.5)
         with pytest.raises(StreamError):
             FaultPlan.from_dict({"version": 99, "faults": []})
-        with pytest.raises(StreamError):
-            WorkerChaos(mode="politely-ask")
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +100,7 @@ class TestFaultySource:
         ])
         source = FaultySource(make_source(study, 200), plan)
         engine = StreamEngine(
-            source, geodb=study.geo, n_workers=0,
+            source, geodb=study.geo,
             max_source_retries=3, retry_backoff_seconds=0.0,
         )
         report = engine.run()
@@ -127,7 +117,7 @@ class TestFaultySource:
         ])
         source = FaultySource(make_source(study, 50), plan)
         engine = StreamEngine(
-            source, geodb=study.geo, n_workers=0,
+            source, geodb=study.geo,
             max_source_retries=1, retry_backoff_seconds=0.0,
         )
         with pytest.raises(TransientSourceError):
@@ -142,7 +132,7 @@ class TestFaultySource:
             FaultSpec(index=149, kind="duplicate"),
         ])
         source = FaultySource(make_source(study, 150), plan)
-        report = StreamEngine(source, geodb=study.geo, n_workers=0).run()
+        report = StreamEngine(source, geodb=study.geo).run()
         assert report.rollup.to_dict() == baseline.rollup.to_dict()
         assert report.metrics["duplicates_dropped"] == 3
         assert source.injected["duplicate"] == 3
@@ -153,19 +143,18 @@ class TestFaultySource:
             FaultSpec(index=10, kind="stall", stall_seconds=0.001),
         ])
         source = FaultySource(make_source(study, 60), plan)
-        report = StreamEngine(source, geodb=study.geo, n_workers=0).run()
+        report = StreamEngine(source, geodb=study.geo).run()
         assert report.rollup.to_dict() == baseline.rollup.to_dict()
         assert source.injected["stall"] == 1
 
-    def test_generated_storm_through_sharded_pool(self, study):
+    def test_generated_storm_to_parity(self, study):
         baseline = clean_rollup(study, 300)
         plan = FaultPlan.generate(
             11, 300, error_rate=0.02, duplicate_rate=0.02, truncate_rate=0.01,
         )
         source = FaultySource(make_source(study, 300), plan)
         engine = StreamEngine(
-            source, geodb=study.geo, n_workers=2,
-            shard_config=ShardConfig(n_workers=2, batch_size=16, max_inflight=64),
+            source, geodb=study.geo,
             max_source_retries=8, retry_backoff_seconds=0.0,
         )
         report = engine.run()
@@ -178,113 +167,16 @@ class TestFaultySource:
         plan = FaultPlan(faults=[FaultSpec(index=40, kind="error")])
         StreamEngine(
             FaultySource(make_source(study, 200), plan),
-            geodb=study.geo, n_workers=0,
+            geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=30,
             max_source_retries=2, retry_backoff_seconds=0.0,
         ).run(max_samples=90)
         resumed = StreamEngine(
             FaultySource(make_source(study, 200), FaultPlan()),
-            geodb=study.geo, n_workers=0,
+            geodb=study.geo,
             checkpoint_path=ck, checkpoint_interval=30,
         ).run(resume=True)
         assert resumed.rollup.to_dict() == baseline.rollup.to_dict()
-
-
-# ----------------------------------------------------------------------
-# Worker supervision and graceful shutdown
-# ----------------------------------------------------------------------
-class TestSupervision:
-    def test_kill9_worker_restarted_to_parity(self, study):
-        reference = serial_records(study.samples[:300])
-        config = ShardConfig(
-            n_workers=2, batch_size=8, max_inflight=32,
-            poll_seconds=0.05, max_restarts=2,
-        )
-        chaos = WorkerChaos(worker_id=1, after_batches=1, mode="kill9")
-        with ShardedClassifierPool(config, chaos=chaos) as pool:
-            records = pool.map_samples(study.samples[:300])
-        assert records == reference
-        assert pool.restarts == 1
-        assert pool.worker_restarts == {1: 1}
-
-    def test_exit0_worker_restarted_to_parity(self, study):
-        reference = serial_records(study.samples[:200])
-        config = ShardConfig(
-            n_workers=2, batch_size=8, max_inflight=32,
-            poll_seconds=0.05, max_restarts=1,
-        )
-        chaos = WorkerChaos(worker_id=0, after_batches=2, mode="exit0")
-        with ShardedClassifierPool(config, chaos=chaos) as pool:
-            records = pool.map_samples(study.samples[:200])
-        assert records == reference
-        assert pool.restarts == 1
-
-    def test_exit0_death_without_budget_raises(self, study):
-        """Satellite regression: a worker that dies cleanly-but-early must
-        fail the stream, not leave the coordinator polling forever."""
-        config = ShardConfig(
-            n_workers=2, batch_size=4, max_inflight=16, poll_seconds=0.05,
-        )
-        chaos = WorkerChaos(worker_id=0, after_batches=0, mode="exit0")
-        pool = ShardedClassifierPool(config, chaos=chaos)
-        began = time.monotonic()
-        with pytest.raises(StreamError, match="died with exit code 0"):
-            list(pool.process(
-                StreamItem(sample=s) for s in study.samples[:200]
-            ))
-        assert time.monotonic() - began < 30.0
-        pool.close()
-
-    def test_restart_budget_exhausted_raises(self, study):
-        config = ShardConfig(
-            n_workers=2, batch_size=4, max_inflight=16,
-            poll_seconds=0.05, max_restarts=0,
-        )
-        chaos = WorkerChaos(worker_id=0, after_batches=0, mode="kill9")
-        pool = ShardedClassifierPool(config, chaos=chaos)
-        with pytest.raises(StreamError, match="died"):
-            list(pool.process(
-                StreamItem(sample=s) for s in study.samples[:200]
-            ))
-        pool.close()
-
-    def test_close_with_full_input_queue_is_graceful(self, study):
-        """Satellite regression: a full input queue used to swallow the
-        shutdown sentinel, stalling join_seconds and terminating."""
-        config = ShardConfig(
-            n_workers=2, batch_size=4, max_inflight=64,
-            queue_depth=2, join_seconds=20.0,
-        )
-        pool = ShardedClassifierPool(config)
-        pool.start()
-        rows = [(i, None, s) for i, s in enumerate(study.samples[:4])]
-        for worker_id in range(2):
-            for batch_id in range(50):
-                try:
-                    pool._in_queues[worker_id].put_nowait((1000 + batch_id, rows))
-                except queue_module.Full:
-                    break
-        began = time.monotonic()
-        pool.close()
-        elapsed = time.monotonic() - began
-        assert pool.forced_terminations == 0
-        assert elapsed < config.join_seconds
-        assert all(p.exitcode == 0 for p in pool._workers)
-
-    def test_engine_supervised_run_matches_clean(self, study):
-        baseline = clean_rollup(study, 300)
-        engine = StreamEngine(
-            make_source(study, 300), geodb=study.geo, n_workers=2,
-            shard_config=ShardConfig(
-                n_workers=2, batch_size=8, max_inflight=32,
-                poll_seconds=0.05, max_restarts=2,
-            ),
-            worker_chaos=WorkerChaos(worker_id=0, after_batches=2, mode="kill9"),
-        )
-        report = engine.run()
-        assert report.rollup.to_dict() == baseline.rollup.to_dict()
-        assert report.metrics["worker_restarts"] == 1
-        assert report.metrics["forced_terminations"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -297,11 +189,11 @@ class TestSatelliteRegressions:
         n = 120
         baseline = StreamEngine(
             IterableSource(study.samples[:n], timestamps=study.timestamps),
-            geodb=study.geo, n_workers=0,
+            geodb=study.geo,
         ).run()
         engine = StreamEngine(
             IterableSource(study.samples[:n], timestamps=study.timestamps),
-            geodb=study.geo, n_workers=0,
+            geodb=study.geo,
         )
         report = engine.run(max_samples=n)
         assert report.finished
@@ -313,7 +205,7 @@ class TestSatelliteRegressions:
 
     def test_not_finished_when_source_has_more(self, study):
         report = StreamEngine(
-            make_source(study), geodb=study.geo, n_workers=0
+            make_source(study), geodb=study.geo
         ).run(max_samples=100)
         assert not report.finished
         assert report.rollup.n_records == 100
@@ -350,41 +242,22 @@ class TestSatelliteRegressions:
         with pytest.raises(StreamError, match="only 10 samples present"):
             list(source)
 
-    def test_metrics_worker_sort_is_numeric(self):
-        metrics = StreamMetrics()
-        metrics.start()
-        busy = {w: 0.01 for w in range(12)}
-        records = {w: 10 for w in range(12)}
-        metrics.set_worker_stats(busy, records)
-        metrics.stop()
-        rendered = metrics.render()
-        line = [l for l in rendered.splitlines() if "worker utilization" in l][0]
-        assert line.index("w2=") < line.index("w10=")
-
     def test_metrics_snapshot_has_fault_counters(self):
         snap = StreamMetrics().snapshot()
-        for key in ("source_retries", "duplicates_dropped",
-                    "worker_restarts", "forced_terminations"):
+        for key in ("source_retries", "duplicates_dropped"):
             assert snap[key] == 0
 
     def test_render_reports_survived_faults(self):
         metrics = StreamMetrics()
         metrics.source_retries = 2
-        metrics.worker_restarts = 1
         assert "faults survived" in metrics.render()
 
 
 # ----------------------------------------------------------------------
-# End-to-end fire drills (multiprocessing-heavy: own CI job)
+# End-to-end fire drills (two of them SIGKILL a forked engine: own CI job)
 # ----------------------------------------------------------------------
 @pytest.mark.chaos
 class TestDrills:
-    def test_kill_worker_drill(self):
-        result = run_drill("kill-worker", connections=300, seed=7)
-        assert result.ok, result.render()
-        assert result.details["worker_restarts"] >= 1
-        assert result.details["forced_terminations"] == 0
-
     def test_kill9_resume_drill(self, tmp_path):
         result = run_drill(
             "kill9-resume", connections=400, seed=7,

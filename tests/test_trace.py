@@ -281,14 +281,13 @@ class TestEngineTracing:
     def test_trace_sample_n_validated(self, study):
         source = IterableSource(study.samples, timestamps=study.timestamps)
         with pytest.raises(StreamError):
-            StreamEngine(source, n_workers=0, trace_sample_n=-1)
+            StreamEngine(source, trace_sample_n=-1)
 
     def test_pull_mode_traces_cover_the_fold_path(self, study, tmp_path):
         obs = Observability()
         engine = StreamEngine(
             IterableSource(study.samples, timestamps=study.timestamps),
             geodb=study.world.geo,
-            n_workers=0,
             store_dir=str(tmp_path / "store"),
             obs=obs,
             trace_sample_n=16,
@@ -313,7 +312,6 @@ class TestEngineTracing:
         engine = StreamEngine(
             IterableSource(study.samples, timestamps=study.timestamps),
             geodb=study.world.geo,
-            n_workers=0,
             obs=obs,
         )
         engine.run()
@@ -533,7 +531,7 @@ class TestTraceCli:
         engine = StreamEngine(
             IterableSource(study.samples[:64],
                            timestamps=study.timestamps),
-            geodb=study.world.geo, n_workers=0, obs=obs, trace_sample_n=8,
+            geodb=study.world.geo, obs=obs, trace_sample_n=8,
         )
         engine.run()
         obs.export(export)
