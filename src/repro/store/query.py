@@ -44,6 +44,10 @@ QUERY_FAMILIES = (
     "stage_statistics",
 )
 
+#: Families whose answer never reads a part's bucket, so a segment's
+#: summary can stand in for its slices (see ``RollupStore._scan``).
+BUCKET_BLIND_FAMILIES = frozenset(("country_tampering_rate", "stage_statistics"))
+
 
 @dataclasses.dataclass(frozen=True)
 class StoreQuery:
@@ -166,45 +170,43 @@ def _timeseries(
     parts: Iterable[BucketSlice],
     wanted: Optional[frozenset],
 ) -> Dict[str, List[Tuple[float, float]]]:
-    bucket_totals: Dict[Tuple[str, float], int] = {}
-    bucket_matches: Dict[Tuple[str, float], int] = {}
+    # country -> {bucket -> count}: grouped once, so the answer costs
+    # one sort per country rather than one pass over every cell.
+    bucket_totals: Dict[str, Dict[float, int]] = {}
+    bucket_matches: Dict[str, Dict[float, int]] = {}
     for part in parts:
+        bucket = part.bucket
         for country, n in part.totals.items():
             if wanted is not None and country not in wanted:
                 continue
-            cell = (country, part.bucket)
-            bucket_totals[cell] = bucket_totals.get(cell, 0) + n
+            cells = bucket_totals.setdefault(country, {})
+            cells[bucket] = cells.get(bucket, 0) + n
         for country, n in part.matches.items():
             if wanted is not None and country not in wanted:
                 continue
-            cell = (country, part.bucket)
-            bucket_matches[cell] = bucket_matches.get(cell, 0) + n
+            cells = bucket_matches.setdefault(country, {})
+            cells[bucket] = cells.get(bucket, 0) + n
     # A cell with tampering matches but no total connections cannot be
     # produced by a consistent rollup (every match is also a total); it
     # means a segment or WAL slice is corrupt or partial.  Refuse to
     # answer rather than fabricate a rate or silently drop the cell.
-    for cell, n in bucket_matches.items():
-        if n and bucket_totals.get(cell, 0) <= 0:
-            raise StoreError(
-                f"inconsistent store state: bucket {cell[1]} has {n} "
-                f"tampering matches for {cell[0]!r} but no total "
-                "connections (corrupt or partial segment/WAL slice)"
-            )
-    present = {country for country, _ in bucket_totals}
-    return {
-        country: [
-            (
-                b,
-                100.0
-                * bucket_matches.get((country, b), 0)
-                / bucket_totals[(country, b)],
-            )
-            for b in sorted(
-                bucket for c, bucket in bucket_totals if c == country
-            )
+    for country, cells in bucket_matches.items():
+        totals = bucket_totals.get(country, {})
+        for bucket, n in cells.items():
+            if n and totals.get(bucket, 0) <= 0:
+                raise StoreError(
+                    f"inconsistent store state: bucket {bucket} has {n} "
+                    f"tampering matches for {country!r} but no total "
+                    "connections (corrupt or partial segment/WAL slice)"
+                )
+    out: Dict[str, List[Tuple[float, float]]] = {}
+    for country in catalog.ordered_countries(set(bucket_totals)):
+        matches = bucket_matches.get(country, {})
+        out[country] = [
+            (b, 100.0 * matches.get(b, 0) / total)
+            for b, total in sorted(bucket_totals[country].items())
         ]
-        for country in catalog.ordered_countries(present)
-    }
+    return out
 
 
 def _signature_hour_counts(
@@ -212,21 +214,20 @@ def _signature_hour_counts(
     parts: Iterable[BucketSlice],
     country: str,
 ) -> Dict[SignatureId, List[Tuple[float, int]]]:
-    cells: Dict[Tuple[SignatureId, float], int] = {}
+    # signature -> {bucket -> count}, grouped once.
+    cells: Dict[SignatureId, Dict[float, int]] = {}
     for part in parts:
+        bucket = part.bucket
         for (c, sig), n in part.signature_cells.items():
             if c != country:
                 continue
-            cell = (sig, part.bucket)
-            cells[cell] = cells.get(cell, 0) + n
-    present = {sig for sig, _ in cells}
-    out: Dict[SignatureId, List[Tuple[float, int]]] = {}
-    for sig in catalog.ordered_sigs(country, present):
-        if not sig.is_tampering:
-            continue
-        series = sorted((b, n) for (s, b), n in cells.items() if s == sig)
-        out[sig] = series
-    return out
+            series = cells.setdefault(sig, {})
+            series[bucket] = series.get(bucket, 0) + n
+    return {
+        sig: sorted(cells[sig].items())
+        for sig in catalog.ordered_sigs(country, set(cells))
+        if sig.is_tampering
+    }
 
 
 def _stage_statistics(

@@ -135,6 +135,11 @@ class BucketSlice:
             raise StoreError(
                 f"cannot merge slice of bucket {other.bucket} into {self.bucket}"
             )
+        self.absorb(other)
+
+    def absorb(self, other: "BucketSlice") -> None:
+        """Sum every counter of ``other`` into this slice, whatever its
+        bucket; :meth:`merge` and :attr:`Segment.summary` both use it."""
         self.n_records += other.n_records
         self.possibly_tampered += other.possibly_tampered
         for country, n in other.totals.items():
@@ -276,6 +281,18 @@ class Segment:
 
     meta: SegmentMeta
     slices: Dict[float, BucketSlice]
+
+    @functools.cached_property
+    def summary(self) -> BucketSlice:
+        """Every slice summed into one, built on first use.
+
+        Its ``bucket`` is the segment's first; only queries that never
+        read a part's bucket use it (see :meth:`RollupStore._scan`).
+        """
+        summary = BucketSlice(self.meta.min_bucket)
+        for slice_ in self.slices.values():
+            summary.absorb(slice_)
+        return summary
 
 
 def segment_file_name(segment_id: int, level: int) -> str:

@@ -41,7 +41,12 @@ from repro.errors import CheckpointError, StoreError
 from repro.obs import NULL_OBS
 from repro.store.compaction import CompactionChaos, CompactionConfig, Compactor
 from repro.store.manifest import MANIFEST_NAME, Manifest
-from repro.store.query import QueryResult, StoreQuery, execute
+from repro.store.query import (
+    BUCKET_BLIND_FAMILIES,
+    QueryResult,
+    StoreQuery,
+    execute,
+)
 from repro.store.segment import (
     BucketSlice,
     Segment,
@@ -221,7 +226,7 @@ class RollupStore:
         if manifest is None or manifest.generation == self.manifest.generation:
             return False
         self._adopt(manifest)
-        self._segment_cache.clear()
+        self._evict_departed()
         return True
 
     def _adopt(self, manifest: Manifest) -> None:
@@ -230,6 +235,17 @@ class RollupStore:
         self.bucket_seconds = manifest.bucket_seconds
         self.catalog = manifest.catalog
         self._sealed = manifest.sealed_buckets()
+
+    def _evict_departed(self) -> None:
+        """Drop cached segments that left the manifest.
+
+        Segment files are immutable and ids are never reused, so a
+        cached segment still in the manifest is still exact: a seal
+        costs a reader one new load, a compaction the merged output.
+        """
+        live = {meta.name for meta in self.manifest.segments}
+        for name in [name for name in self._segment_cache if name not in live]:
+            del self._segment_cache[name]
 
     def _assert_writable(self) -> None:
         if self.read_only:
@@ -418,7 +434,7 @@ class RollupStore:
         self._assert_writable()
         merged = self.compactor.run_once(self.manifest)
         if merged:
-            self._segment_cache.clear()
+            self._evict_departed()
         return merged
 
     def compact(self, max_runs: int = 16) -> int:
@@ -426,7 +442,7 @@ class RollupStore:
         self._assert_writable()
         runs = self.compactor.run(self.manifest, max_runs=max_runs)
         if runs:
-            self._segment_cache.clear()
+            self._evict_departed()
         return runs
 
     # ------------------------------------------------------------------
@@ -456,8 +472,14 @@ class RollupStore:
         return segment
 
     def _scan(self, query: StoreQuery) -> Tuple[List[BucketSlice], QueryResult]:
-        """Pushdown scan: slices surviving the filters, plus scan stats."""
+        """Pushdown scan: slices surviving the filters, plus scan stats.
+
+        A bucket-blind family takes a segment lying wholly inside the
+        range as its one summary slice; the stats still count the
+        buckets it covers, so they match a slice-by-slice scan.
+        """
         wanted = query.country_set()
+        summarise = query.family in BUCKET_BLIND_FAMILIES
         parts: List[BucketSlice] = []
         scanned = skipped = buckets = open_buckets = 0
         for meta in self.manifest.segments:
@@ -467,7 +489,16 @@ class RollupStore:
                 skipped += 1
                 continue
             scanned += 1
-            for bucket, slice_ in self._load(meta).slices.items():
+            segment = self._load(meta)
+            if (
+                summarise
+                and query.bucket_in_range(meta.min_bucket)
+                and query.bucket_in_range(meta.max_bucket)
+            ):
+                buckets += len(meta.buckets)
+                parts.append(segment.summary)
+                continue
+            for bucket, slice_ in segment.slices.items():
                 if query.bucket_in_range(bucket):
                     buckets += 1
                     parts.append(slice_)
@@ -510,30 +541,33 @@ class RollupStore:
         """
         totals: Dict[str, int] = {}
         by_sig: Dict[str, Dict] = {}
-        cell_totals: Dict[Tuple[str, float], int] = {}
-        cell_matches: Dict[Tuple[str, float], int] = {}
-        cell_sigs: Dict[Tuple[str, object, float], int] = {}
+        # Bucket cells grouped by country (and signature) once, so each
+        # is emitted with one sort per group, not one pass over all cells.
+        cell_totals: Dict[str, Dict[float, int]] = {}
+        cell_matches: Dict[str, Dict[float, int]] = {}
+        cell_sigs: Dict[str, Dict[SignatureId, Dict[float, int]]] = {}
         stage_counts: Dict[str, int] = {}
         stage_matched: Dict[str, int] = {}
         sig_counts: Dict = {}
         rollup = StreamRollup(bucket_seconds=self.bucket_seconds)
         for part in self._parts():
+            bucket = part.bucket
             rollup.n_records += part.n_records
             rollup.possibly_tampered += part.possibly_tampered
             for country, n in part.totals.items():
                 totals[country] = totals.get(country, 0) + n
-                cell = (country, part.bucket)
-                cell_totals[cell] = cell_totals.get(cell, 0) + n
+                cells = cell_totals.setdefault(country, {})
+                cells[bucket] = cells.get(bucket, 0) + n
             for country, n in part.matches.items():
-                cell = (country, part.bucket)
-                cell_matches[cell] = cell_matches.get(cell, 0) + n
+                cells = cell_matches.setdefault(country, {})
+                cells[bucket] = cells.get(bucket, 0) + n
             for country, sigs in part.by_signature.items():
                 mine = by_sig.setdefault(country, {})
                 for sig, n in sigs.items():
                     mine[sig] = mine.get(sig, 0) + n
             for (country, sig), n in part.signature_cells.items():
-                cell = (country, sig, part.bucket)
-                cell_sigs[cell] = cell_sigs.get(cell, 0) + n
+                cells = cell_sigs.setdefault(country, {}).setdefault(sig, {})
+                cells[bucket] = cells.get(bucket, 0) + n
             for key, n in part.stage_counts.items():
                 stage_counts[key] = stage_counts.get(key, 0) + n
             for key, n in part.stage_matched.items():
@@ -559,21 +593,16 @@ class RollupStore:
             if c in by_sig
         }
         for country in countries:
-            for bucket in sorted(b for c, b in cell_totals if c == country):
-                rollup.bucket_totals[(country, bucket)] = cell_totals[
-                    (country, bucket)
-                ]
+            for bucket, n in sorted(cell_totals[country].items()):
+                rollup.bucket_totals[(country, bucket)] = n
         for country in countries:
-            for bucket in sorted(b for c, b in cell_matches if c == country):
-                rollup.bucket_matches[(country, bucket)] = cell_matches[
-                    (country, bucket)
-                ]
+            for bucket, n in sorted(cell_matches.get(country, {}).items()):
+                rollup.bucket_matches[(country, bucket)] = n
         for country in countries:
-            mine = [(s, b) for c, s, b in cell_sigs if c == country]
-            for sig in self.catalog.ordered_sigs(country, {s for s, _ in mine}):
-                for bucket in sorted(b for s, b in mine if s == sig):
-                    cell = (country, sig, bucket)
-                    rollup.bucket_signature[cell] = cell_sigs[cell]
+            sigs = cell_sigs.get(country, {})
+            for sig in self.catalog.ordered_sigs(country, set(sigs)):
+                for bucket, n in sorted(sigs[sig].items()):
+                    rollup.bucket_signature[(country, sig, bucket)] = n
         rollup.stage_counts = dict(sorted(stage_counts.items()))
         rollup.stage_matched = dict(sorted(stage_matched.items()))
         for sig in self.catalog.ordered_global_sigs(set(sig_counts)):

@@ -644,8 +644,10 @@ class StreamEngine:
             raise StreamError("no push session open; call open_push() first")
         before = self._n_folded
         for record in self._records(iter(items)):
+            # The push cursor is the fold count including this record,
+            # set before the fold so a checkpoint it writes agrees.
+            self._safe_cursor = self._n_folded + 1
             self._fold(record)
-            self._safe_cursor = self._n_folded
         return self._n_folded - before
 
     def drain(self, seal: bool = True) -> StreamReport:

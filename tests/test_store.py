@@ -520,6 +520,15 @@ class TestCompaction:
         assert store.stats()["compaction_bytes_written"] > 0
         store.close()
 
+    def test_long_history_compacts_smaller_and_quiesces(self, tmp_path):
+        store, rollup = self._sealed_store(tmp_path, seed=13, n=900, n_buckets=60)
+        before = len(store.manifest.segments)
+        assert store.compact(max_runs=256) >= 1
+        assert len(store.manifest.segments) < before
+        assert store.compactor.due(store.manifest) is None
+        assert_query_parity(store, rollup)
+        store.close()
+
     def test_max_level_is_never_exceeded(self, tmp_path):
         store, _ = self._sealed_store(tmp_path, seed=8, n=600, n_buckets=40)
         for _ in range(8):
@@ -779,6 +788,27 @@ class TestQueries:
         assert result.segments_scanned + result.segments_skipped == len(
             store.manifest.segments
         )
+
+    def test_narrow_range_skips_most_level0_segments(self, tmp_path):
+        records = random_records(17, 700)
+        rollup = StreamRollup()
+        store = RollupStore(str(tmp_path / "store"))
+        for record in records:
+            rollup.add(record)
+            store.add(record)
+        store.seal_open()  # one level-0 segment per bucket, no compaction
+        start, end = 12 * HOUR, 15 * HOUR
+        result = store.query(StoreQuery("timeseries", start=start, end=end))
+        assert result.segments_scanned == 3
+        assert result.segments_skipped == len(store.manifest.segments) - 3
+        assert result.segments_skipped > result.segments_scanned
+        expected = {}
+        for country, series in rollup.timeseries().items():
+            clipped = [(b, r) for b, r in series if start <= b < end]
+            if clipped:
+                expected[country] = clipped
+        assert ordered(result.value) == ordered(expected)
+        store.close()
 
     def test_country_pushdown(self, corpus):
         store, rollup = corpus
@@ -1434,4 +1464,191 @@ class TestReadOnlyOpen:
         assert payload["buckets_scanned"] > 0
         # The query must not have truncated or dropped the writer's WAL.
         assert sorted(os.listdir(wal_dir)) == wal_before
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# Read-path cost: segment summaries and departed-only eviction
+# ----------------------------------------------------------------------
+def scan_stats(result):
+    return (
+        result.segments_scanned,
+        result.segments_skipped,
+        result.buckets_scanned,
+        result.open_buckets_scanned,
+    )
+
+
+class TestSegmentSummaries:
+    """Bucket-blind families read a wholly covered segment's summary;
+    answers and scan stats must equal the slice-by-slice path."""
+
+    @pytest.fixture(scope="class")
+    def compacted(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("summaries") / "store")
+        records = random_records(31, 900, n_buckets=30)
+        store = RollupStore(directory, config=small_compaction())
+        for record in records:
+            store.add(record)
+        store.seal_open()
+        store.compact()
+        store.close()
+        return directory, records
+
+    @staticmethod
+    def _ranges(store):
+        wide = max(store.manifest.segments, key=lambda meta: len(meta.buckets))
+        assert len(wide.buckets) > 2
+        lo, hi = wide.min_bucket, wide.max_bucket
+        return wide, [
+            (None, None),
+            (lo, hi + HOUR),  # exactly the segment
+            (lo, None),  # the segment and everything after
+            (None, hi + HOUR),  # everything up to the segment's end
+            (lo + HOUR, hi),  # cuts the segment on both sides
+            (lo - HOUR, hi),  # cuts its last bucket off
+        ]
+
+    @pytest.mark.parametrize("opener", ["writer", "read_only"])
+    def test_summary_answers_match_slices_and_rollup(self, compacted, opener):
+        from repro.store.query import execute
+
+        directory, records = compacted
+        if opener == "writer":
+            store = RollupStore(directory)  # cold reopen
+        else:
+            store = RollupStore.open_read_only(directory)
+        wide, ranges = self._ranges(store)
+        every_slice = [
+            (bucket, slice_)
+            for meta in store.manifest.segments
+            for bucket, slice_ in load_segment(store.segments_dir, meta).slices.items()
+        ]
+        for start, end in ranges:
+            rollup = StreamRollup()
+            for record in records:
+                bucket = store.bucket_of(record.ts)
+                if (start is None or bucket >= start) and (end is None or bucket < end):
+                    rollup.add(record)
+            for query in (
+                StoreQuery("country_tampering_rate", start=start, end=end),
+                StoreQuery(
+                    "country_tampering_rate", start=start, end=end,
+                    countries=("IR", "CN"),
+                ),
+                StoreQuery("stage_statistics", start=start, end=end),
+            ):
+                result = store.query(query)
+                # Byte-identical to summing the bucket slices one by one.
+                slices = [s for b, s in every_slice if query.bucket_in_range(b)]
+                assert ordered(result.value) == ordered(
+                    execute(query, store.catalog, slices)
+                )
+                # Scan stats equal a bucket-aware family's slice scan.
+                twin = StoreQuery(
+                    "timeseries", start=start, end=end, countries=query.countries
+                )
+                assert scan_stats(result) == scan_stats(store.query(twin))
+                # Same counts as an in-memory rollup of the range.
+                if query.family == "stage_statistics":
+                    expected = rollup.stage_statistics()
+                    if start is None and end is None:
+                        assert ordered(result.value) == ordered(expected)
+                    assert result.value == expected
+                else:
+                    expected = rollup.country_tampering_rate()
+                    if query.countries:
+                        expected = {
+                            c: r for c, r in expected.items() if c in query.countries
+                        }
+                    if start is None and end is None:
+                        assert ordered(result.value) == ordered(expected)
+                    # A range's own first-seen key order can differ from
+                    # the store's global one, so the float sums may too.
+                    assert result.value == pytest.approx(expected, rel=1e-12)
+        # The wholly covered segment was answered from its summary.
+        assert "summary" in store._segment_cache[wide.name].__dict__
+        store.close()
+
+
+QUERY = StoreQuery("country_tampering_rate")
+
+
+class TestSegmentLoads:
+    """A seal costs a warm reader one segment load, a compaction the
+    merged output; departed segments are the only cache evictions."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        import repro.store.store as store_module
+
+        loaded = []
+        real = store_module.load_segment
+
+        def counting(directory, meta):
+            loaded.append(meta.name)
+            return real(directory, meta)
+
+        monkeypatch.setattr(store_module, "load_segment", counting)
+        return loaded
+
+    @staticmethod
+    def _warm(tmp_path, loads):
+        """Six level-0 segments, queried warm by the writer and a reader."""
+        records = random_records(5, 400, n_buckets=12)
+        store = RollupStore(str(tmp_path / "store"), config=small_compaction())
+        for record in records:
+            store.add(record)
+        store.seal_through(5 * HOUR)  # not compacted
+        reader = RollupStore.open_read_only(store.directory)
+        reader.query(QUERY)
+        store.query(QUERY)
+        assert len(loads) == 2 * len(store.manifest.segments) == 12
+        del loads[:]
+        return store, reader
+
+    @staticmethod
+    def _new_segments(store, mutate):
+        before = {meta.name for meta in store.manifest.segments}
+        mutate()
+        return sorted({meta.name for meta in store.manifest.segments} - before)
+
+    @staticmethod
+    def _assert_exact(reader):
+        cold = RollupStore.open_read_only(reader.directory)
+        for query in (QUERY, StoreQuery("timeseries")):
+            assert ordered(reader.query(query).value) == ordered(
+                cold.query(query).value
+            )
+        assert set(reader._segment_cache) == {
+            meta.name for meta in reader.manifest.segments
+        }
+        cold.close()
+
+    def test_refresh_after_seal_loads_one_segment(self, tmp_path, loads):
+        store, reader = self._warm(tmp_path, loads)
+        sealed = self._new_segments(store, lambda: store.seal_through(6 * HOUR))
+        assert len(sealed) == 1
+        assert reader.maybe_refresh() is True
+        reader.query(QUERY)
+        assert loads == sealed
+        del loads[:]
+        store.query(QUERY)
+        assert loads == sealed  # the writer's own seal evicts nothing
+        self._assert_exact(reader)
+        reader.close()
+        store.close()
+
+    def test_compaction_loads_only_the_merged_output(self, tmp_path, loads):
+        store, reader = self._warm(tmp_path, loads)
+        merged = self._new_segments(store, store.compact)
+        assert len(merged) == 1
+        store.query(QUERY)
+        assert loads == merged
+        del loads[:]
+        assert reader.maybe_refresh() is True
+        reader.query(QUERY)
+        assert loads == merged
+        self._assert_exact(reader)
+        reader.close()
         store.close()

@@ -722,6 +722,22 @@ class TestPushMode:
         engine2.store.close()
         assert store_files(store_dir) == store_files(str(tmp_path / "offline"))
 
+    def test_periodic_push_checkpoint_cursor_counts_its_fold(self, study, tmp_path):
+        # The push cursor is the fold count; a checkpoint written by the
+        # fold of record 100 must say so, like the drain checkpoint does.
+        ck = str(tmp_path / "ck.json")
+        engine = StreamEngine(
+            None, geodb=study.geo, checkpoint_path=ck, checkpoint_interval=100
+        )
+        engine.open_push()
+        assert engine.push_items(self._items(study)[:120]) == 120
+        periodic = CheckpointManager(ck).load()
+        assert periodic["samples_done"] == 100
+        assert periodic["cursor"] == 100
+        engine.drain(seal=False)
+        final = CheckpointManager(ck).load()
+        assert final["samples_done"] == final["cursor"] == 120
+
     def test_push_mode_guards(self, study):
         with pytest.raises(StreamError, match="source-less"):
             StreamEngine(None).run()
