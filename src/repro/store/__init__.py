@@ -5,8 +5,9 @@ memory into immutable, time-partitioned segment files; the open buckets
 ride a write-ahead log; a background compactor merges small segments
 under an atomically-swapped manifest; and a query engine answers the
 batch-parity question families with time-range and country pushdown --
-byte-for-byte equal to an in-memory
-:class:`~repro.stream.rollup.StreamRollup` over the same records.
+byte-for-byte equal to the batch analysis over the same records.  The
+in-memory :class:`~repro.stream.rollup.StreamRollup` is the same
+structure (a catalog plus bucket slices) without the disk.
 
 See ``docs/data-formats.md`` for the on-disk formats and
 ``docs/architecture.md`` for the dataflow.

@@ -1,15 +1,16 @@
 """First-seen key ordering for exact batch parity.
 
-Integer counters merge associatively in any order, but the rollup's
-*query results* do not: :meth:`StreamRollup.country_tampering_rate`
-accumulates per-signature percentages in the first-seen order of each
-country's ``by_signature`` dict, ``timeseries`` emits countries in
-first-seen order, and ``stage_statistics`` returns a ``Counter`` whose
-insertion order is the global first-match order of signatures.  Those
-orders are a property of the *record stream*, not of any one partition,
-so segments cannot carry them.
+Integer counters merge associatively in any order, but query results do
+not: the batch ``country_tampering_rate`` accumulates per-signature
+percentages in each country's first-seen signature order,
+``timeseries`` emits countries in first-seen order, and
+``stage_statistics`` returns a ``Counter`` whose insertion order is the
+global first-match order of signatures.  Those orders are a property of
+the *record stream*, not of any one partition, so bucket slices and
+segments cannot carry them.
 
-:class:`KeyCatalog` is the store's answer: a tiny registry (bounded by
+:class:`KeyCatalog` holds them for every rollup, in memory or on disk
+(:func:`repro.store.query.execute` reads it): a tiny registry (bounded by
 key cardinality -- countries × signatures -- never by history) recording
 
 * the first-seen order of countries,
@@ -42,7 +43,7 @@ class KeyCatalog:
         #: country -> signature keys (incl. NOT_TAMPERING) in first-seen order
         self.country_sigs: Dict[str, List[SignatureId]] = {}
         #: tampering signatures in global first-match order
-        #: (the insertion order of the rollup's ``signature_counts``)
+        #: (the insertion order of ``stage_statistics``' counter)
         self.global_sigs: List[SignatureId] = []
         self._country_set: Set[str] = set()
         self._country_sig_sets: Dict[str, Set[SignatureId]] = {}
@@ -69,10 +70,10 @@ class KeyCatalog:
     ) -> None:
         """Register one record's keys; known keys are no-ops.
 
-        ``sig_key`` is the rollup's ``by_signature`` key (the signature
+        ``sig_key`` is the slice's ``by_signature`` key (the signature
         for tampering records, ``NOT_TAMPERING`` otherwise);
-        ``counts_globally`` is True exactly when the rollup would
-        increment ``signature_counts`` (possibly-tampered AND matched).
+        ``counts_globally`` is True exactly when the slice increments
+        ``signature_counts`` (possibly-tampered AND matched).
         """
         if country not in self._country_set:
             self._country_set.add(country)
@@ -88,7 +89,7 @@ class KeyCatalog:
             self.global_sigs.append(sig_key)
 
     def observe_record(self, record) -> None:
-        """Register a :class:`~repro.stream.rollup.StreamRecord`."""
+        """Register a :class:`~repro.stream.rollup.StreamRecord` or WAL entry."""
         sig_key = (
             record.signature
             if record.signature.is_tampering

@@ -1,11 +1,14 @@
-"""The store's query engine: batch-parity answers with pushdown.
+"""The query engine: batch-parity answers over bucket slices.
 
-Executes the four existing batch-parity question families --
+Executes the four batch-parity question families --
 ``country_tampering_rate``, ``timeseries``, ``signature_hour_counts``,
-``stage_statistics`` -- against sealed segments plus the in-memory open
-slices, without materialising history.
+``stage_statistics`` -- over a set of
+:class:`~repro.store.segment.BucketSlice` parts.  It is the only
+implementation of those families: the durable store runs it over sealed
+segments plus its open slices, and the in-memory
+:class:`~repro.stream.rollup.StreamRollup` runs it over its own slices.
 
-Two pushdowns prune the scan using manifest metadata alone:
+Two pushdowns prune the store's scan using manifest metadata alone:
 
 * **time range** (``start``/``end``, compared against bucket start
   times): segments whose ``[min_bucket, max_bucket]`` lies outside the
@@ -16,9 +19,9 @@ Two pushdowns prune the scan using manifest metadata alone:
 Integer counters from the surviving parts are summed (associative, any
 order), then results are assembled in the
 :class:`~repro.store.catalog.KeyCatalog` first-seen order with the
-exact float arithmetic of :class:`~repro.stream.rollup.StreamRollup` --
-same divisions, same accumulation order -- so an unfiltered query is
-byte-for-byte equal to an in-memory rollup over the same records.
+batch implementation's float arithmetic -- same divisions, same
+accumulation order -- so an unfiltered query is byte-for-byte equal to
+:class:`~repro.core.aggregate.AnalysisDataset` over the same records.
 Filtered queries use the same global first-seen key order (documented
 semantics: for a key set restricted by the filter, the *relative* order
 of surviving keys is preserved).
@@ -129,14 +132,19 @@ def execute(
 
 
 # ----------------------------------------------------------------------
-# Family implementations -- each mirrors the StreamRollup method of the
-# same name exactly: same divisions, same accumulation order.
+# Family implementations: the batch percentage arithmetic, with keys in
+# the catalog's first-seen order (the batch accumulation order).
 # ----------------------------------------------------------------------
-def _country_tampering_rate(
+def country_signature_shares(
     catalog: KeyCatalog,
     parts: Iterable[BucketSlice],
-    wanted: Optional[frozenset],
-) -> Dict[str, float]:
+    wanted: Optional[frozenset] = None,
+) -> Dict[str, Dict[SignatureId, float]]:
+    """Per country: % of its connections matching each signature key.
+
+    Mirrors :meth:`AnalysisDataset.country_signature_shares`, with
+    countries and each country's keys in first-seen order.
+    """
     totals: Dict[str, int] = {}
     by_sig: Dict[str, Dict[SignatureId, int]] = {}
     for part in parts:
@@ -150,19 +158,28 @@ def _country_tampering_rate(
             mine = by_sig.setdefault(country, {})
             for sig, n in sigs.items():
                 mine[sig] = mine.get(sig, 0) + n
-    out: Dict[str, float] = {}
+    out: Dict[str, Dict[SignatureId, float]] = {}
     for country in catalog.ordered_countries(set(totals)):
         sigs = by_sig.get(country, {})
         total = totals[country]
-        # Accumulate tampering percentages in the country's first-seen
-        # signature order, exactly as the rollup's generator sum does.
-        rate = sum(
-            100.0 * sigs[sig] / total
+        out[country] = {
+            sig: 100.0 * sigs[sig] / total
             for sig in catalog.ordered_sigs(country, set(sigs))
-            if sig.is_tampering
-        )
-        out[country] = rate
+        }
     return out
+
+
+def _country_tampering_rate(
+    catalog: KeyCatalog,
+    parts: Iterable[BucketSlice],
+    wanted: Optional[frozenset],
+) -> Dict[str, float]:
+    # Tampering shares summed in the country's first-seen signature
+    # order, as the batch implementation accumulates them.
+    return {
+        country: sum(pct for sig, pct in shares.items() if sig.is_tampering)
+        for country, shares in country_signature_shares(catalog, parts, wanted).items()
+    }
 
 
 def _timeseries(

@@ -1,17 +1,18 @@
 """Bucket slices and immutable segment files.
 
 A :class:`BucketSlice` accumulates every rollup counter family for one
-open hour-bucket -- it is the mutable, in-memory half of the store.
-When the engine's watermark passes a bucket, the slice is *sealed*: its
+hour-bucket.  It is the one counter structure of the pipeline: the
+in-memory :class:`~repro.stream.rollup.StreamRollup` is a catalog plus
+one slice per bucket, and the store's open buckets are slices too.
+When the engine's watermark passes a bucket, the store *seals* it: its
 counters are written to an immutable **segment file** and the slice is
 dropped from memory (and from the WAL).
 
 A segment file holds one or more complete buckets (level-0 segments
 hold exactly one; compaction merges them into multi-bucket level-1+
-partitions), partitioned by time range.  Columns are exactly the
-:class:`~repro.stream.rollup.StreamRollup` counter families, keyed per
-bucket so any set of segments can be combined or range-filtered without
-touching records:
+partitions), partitioned by time range.  Columns are the slice's
+counter families, keyed per bucket so any set of segments can be
+combined or range-filtered without touching records:
 
 ``totals``, ``matches`` (per country), ``by_signature`` (per country ×
 signature key), ``signature_cells`` (per country × tampering
@@ -39,6 +40,7 @@ from repro.errors import StoreError
 
 __all__ = [
     "SEGMENT_VERSION",
+    "DEFAULT_BUCKET_SECONDS",
     "BucketSlice",
     "SegmentMeta",
     "Segment",
@@ -48,6 +50,9 @@ __all__ = [
 ]
 
 SEGMENT_VERSION = 1
+
+#: One hour -- the granularity of the paper's Radar-style aggregates.
+DEFAULT_BUCKET_SECONDS = 3600.0
 
 
 class BucketSlice:
@@ -95,7 +100,7 @@ class BucketSlice:
         stage: Stage,
         possibly_tampered: bool,
     ) -> None:
-        """Fold one record; mirrors :meth:`StreamRollup.add` for one bucket."""
+        """Fold one record into every counter family."""
         self.n_records += 1
         self.totals[country] = self.totals.get(country, 0) + 1
 
@@ -124,22 +129,9 @@ class BucketSlice:
         if self.max_ts is None or ts > self.max_ts:
             self.max_ts = ts
 
-    def merge(self, other: "BucketSlice") -> None:
-        """Sum another complete slice of the *same* bucket into this one.
-
-        Only compaction calls this, and only defensively: the manifest
-        invariant is that every bucket lives in exactly one segment, so
-        two slices for the same bucket indicate corruption upstream.
-        """
-        if other.bucket != self.bucket:
-            raise StoreError(
-                f"cannot merge slice of bucket {other.bucket} into {self.bucket}"
-            )
-        self.absorb(other)
-
     def absorb(self, other: "BucketSlice") -> None:
         """Sum every counter of ``other`` into this slice, whatever its
-        bucket; :meth:`merge` and :attr:`Segment.summary` both use it."""
+        bucket (:attr:`Segment.summary`, :meth:`RollupStore.to_rollup`)."""
         self.n_records += other.n_records
         self.possibly_tampered += other.possibly_tampered
         for country, n in other.totals.items():

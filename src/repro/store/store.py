@@ -34,11 +34,11 @@ import math
 import os
 import time
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.model import SignatureId
 from repro.errors import CheckpointError, StoreError
 from repro.obs import NULL_OBS
+from repro.store.catalog import KeyCatalog
 from repro.store.compaction import CompactionChaos, CompactionConfig, Compactor
 from repro.store.manifest import MANIFEST_NAME, Manifest
 from repro.store.query import (
@@ -48,6 +48,7 @@ from repro.store.query import (
     execute,
 )
 from repro.store.segment import (
+    DEFAULT_BUCKET_SECONDS,
     BucketSlice,
     Segment,
     SegmentMeta,
@@ -55,7 +56,9 @@ from repro.store.segment import (
     write_segment,
 )
 from repro.store.wal import WalEntry, WriteAheadLog
-from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRecord, StreamRollup
+
+if TYPE_CHECKING:
+    from repro.stream.rollup import StreamRecord, StreamRollup
 
 __all__ = ["StoreConfig", "RollupStore"]
 
@@ -289,12 +292,7 @@ class RollupStore:
         return kept
 
     def _apply_entry(self, entry: WalEntry) -> None:
-        tampering = entry.signature.is_tampering
-        self.catalog.observe(
-            entry.country,
-            entry.signature if tampering else SignatureId.NOT_TAMPERING,
-            entry.possibly_tampered and tampering,
-        )
+        self.catalog.observe_record(entry)
         slice_ = self._open.get(entry.bucket)
         if slice_ is None:
             slice_ = self._open[entry.bucket] = BucketSlice(entry.bucket)
@@ -377,10 +375,6 @@ class RollupStore:
         """
         ripe = sorted(b for b in self._open if b <= horizon)
         return self._seal(ripe)
-
-    def oldest_open_bucket(self) -> float:
-        """Start of the oldest open bucket (``inf`` when none is open)."""
-        return min(self._open, default=math.inf)
 
     def seal_open(self) -> int:
         """Seal everything -- the stream is finished."""
@@ -524,90 +518,42 @@ class RollupStore:
     # ------------------------------------------------------------------
     # Whole-history materialisation (reporting / parity checks)
     # ------------------------------------------------------------------
-    def _parts(self) -> Iterator[BucketSlice]:
+    def slices_after(self, lo: float) -> Dict[float, BucketSlice]:
+        """The open and sealed slices of every bucket starting above ``lo``.
+
+        The engine asks with its detector's fed horizon.  Every sealed
+        bucket lies at or below it, except after a resume from a
+        checkpoint older than the seal: then the segment slice stands in
+        for the re-delivered records this store skips.
+        """
+        slices = {b: s for b, s in self._open.items() if b > lo}
         for meta in self.manifest.segments:
-            yield from self._load(meta).slices.values()
-        for bucket in sorted(self._open):
-            yield self._open[bucket]
+            if meta.max_bucket > lo:
+                for bucket, slice_ in self._load(meta).slices.items():
+                    if bucket > lo:
+                        slices[bucket] = slice_
+        return slices
 
     def to_rollup(self) -> StreamRollup:
-        """Materialise the full history as a :class:`StreamRollup`.
+        """The full history as a :class:`StreamRollup`.
 
-        Dict insertion orders are rebuilt from the catalog (countries
-        and signature keys in first-seen order, bucket cells
-        country-major with buckets sorted), so every batch-parity query
-        method of the returned rollup answers byte-for-byte like a
-        rollup that saw the whole stream.
+        Sealed slices are shared with the segment cache (segments are
+        immutable); the open slices and the catalog are copied, so the
+        rollup does not move when later records arrive.
         """
-        totals: Dict[str, int] = {}
-        by_sig: Dict[str, Dict] = {}
-        # Bucket cells grouped by country (and signature) once, so each
-        # is emitted with one sort per group, not one pass over all cells.
-        cell_totals: Dict[str, Dict[float, int]] = {}
-        cell_matches: Dict[str, Dict[float, int]] = {}
-        cell_sigs: Dict[str, Dict[SignatureId, Dict[float, int]]] = {}
-        stage_counts: Dict[str, int] = {}
-        stage_matched: Dict[str, int] = {}
-        sig_counts: Dict = {}
-        rollup = StreamRollup(bucket_seconds=self.bucket_seconds)
-        for part in self._parts():
-            bucket = part.bucket
-            rollup.n_records += part.n_records
-            rollup.possibly_tampered += part.possibly_tampered
-            for country, n in part.totals.items():
-                totals[country] = totals.get(country, 0) + n
-                cells = cell_totals.setdefault(country, {})
-                cells[bucket] = cells.get(bucket, 0) + n
-            for country, n in part.matches.items():
-                cells = cell_matches.setdefault(country, {})
-                cells[bucket] = cells.get(bucket, 0) + n
-            for country, sigs in part.by_signature.items():
-                mine = by_sig.setdefault(country, {})
-                for sig, n in sigs.items():
-                    mine[sig] = mine.get(sig, 0) + n
-            for (country, sig), n in part.signature_cells.items():
-                cells = cell_sigs.setdefault(country, {}).setdefault(sig, {})
-                cells[bucket] = cells.get(bucket, 0) + n
-            for key, n in part.stage_counts.items():
-                stage_counts[key] = stage_counts.get(key, 0) + n
-            for key, n in part.stage_matched.items():
-                stage_matched[key] = stage_matched.get(key, 0) + n
-            for sig, n in part.signature_counts.items():
-                sig_counts[sig] = sig_counts.get(sig, 0) + n
-            for ts in (part.min_ts, part.max_ts):
-                if ts is None:
-                    continue
-                if rollup.min_ts is None or ts < rollup.min_ts:
-                    rollup.min_ts = ts
-                if rollup.max_ts is None or ts > rollup.max_ts:
-                    rollup.max_ts = ts
+        from repro.stream.rollup import StreamRollup
 
-        countries = self.catalog.ordered_countries(set(totals))
-        rollup.totals = {c: totals[c] for c in countries}
-        rollup.by_signature = {
-            c: {
-                sig: by_sig[c][sig]
-                for sig in self.catalog.ordered_sigs(c, set(by_sig.get(c, ())))
-            }
-            for c in countries
-            if c in by_sig
-        }
-        for country in countries:
-            for bucket, n in sorted(cell_totals[country].items()):
-                rollup.bucket_totals[(country, bucket)] = n
-        for country in countries:
-            for bucket, n in sorted(cell_matches.get(country, {}).items()):
-                rollup.bucket_matches[(country, bucket)] = n
-        for country in countries:
-            sigs = cell_sigs.get(country, {})
-            for sig in self.catalog.ordered_sigs(country, set(sigs)):
-                for bucket, n in sorted(sigs[sig].items()):
-                    rollup.bucket_signature[(country, sig, bucket)] = n
-        rollup.stage_counts = dict(sorted(stage_counts.items()))
-        rollup.stage_matched = dict(sorted(stage_matched.items()))
-        for sig in self.catalog.ordered_global_sigs(set(sig_counts)):
-            rollup.signature_counts[sig] = sig_counts[sig]
-        return rollup
+        slices: Dict[float, BucketSlice] = {}
+        for meta in self.manifest.segments:
+            slices.update(self._load(meta).slices)
+        for bucket, open_slice in self._open.items():
+            slices[bucket] = copy = BucketSlice(bucket)
+            copy.absorb(open_slice)
+        return StreamRollup(
+            self.bucket_seconds,
+            KeyCatalog.from_dict(self.catalog.to_dict()),
+            slices,
+        )
 
     # ------------------------------------------------------------------
     # Checkpoint integration

@@ -2,10 +2,10 @@
 
 A checkpoint captures everything needed to resume a killed stream with
 no lost and no duplicated connections: the **source cursor** (what has
-been consumed), the **rollup** (what has been aggregated), the
-**detector state** (baselines and open incidents), and the engine's
-open window cells (buckets that have not closed yet and so have not
-been fed to the detector).
+been consumed), the **rollup** (what has been aggregated, or the
+store's open tail), the **detector state** (baselines and open
+incidents), and the horizon through which windows have been fed to the
+detector.
 
 Checkpoints are written atomically and durably (fsync'd temp file +
 ``os.replace`` + an fsync of the containing directory, via

@@ -7,8 +7,9 @@ or handed over by the serving tier through
 :meth:`StreamEngine.push_items` -- and runs each through one serial
 loop: classify, geolocate, fold into a
 :class:`~repro.stream.rollup.StreamRollup` (or the durable store), close
-hour windows as virtual time advances and feed their rates to the
-:class:`~repro.stream.anomaly.EwmaDetector`, and periodically snapshot
+hour windows as virtual time advances -- feeding each window's counts,
+read from its bucket slice, to the
+:class:`~repro.stream.anomaly.EwmaDetector` -- and periodically snapshot
 everything through a :class:`~repro.stream.checkpoint.CheckpointManager`.
 
 Checkpoint correctness rests on one invariant: a record is folded
@@ -22,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.cdn.geo import GeoDatabase
 from repro.core.classifier import ClassifierConfig, TamperingClassifier
@@ -41,6 +42,7 @@ from repro.stream.checkpoint import CheckpointManager
 from repro.stream.metrics import StreamMetrics
 from repro.stream.rollup import DEFAULT_BUCKET_SECONDS, StreamRecord, StreamRollup
 from repro.stream.source import SampleSource, StreamItem
+from repro.store import BucketSlice, RollupStore
 
 __all__ = ["StreamEngine", "StreamReport"]
 
@@ -152,10 +154,6 @@ class StreamEngine:
             else None
         )
         if store_dir is not None:
-            # Imported here: repro.store depends on this package's rollup
-            # module, so a top-level import would be circular.
-            from repro.store import RollupStore
-
             self.store: Optional[RollupStore] = RollupStore(
                 store_dir,
                 bucket_seconds=bucket_seconds,
@@ -169,13 +167,13 @@ class StreamEngine:
         #: store; with one, the rollup stays empty until the final
         #: materialisation, so the engine counts folds itself).
         self._n_folded = 0
-        #: (country, bucket_start) -> [total, matches] for buckets that
-        #: have not closed yet (not fed to the detector).
-        self._open_cells: Dict[Tuple[str, float], List[int]] = {}
-        #: Lower bound on the oldest bucket start open in either the
-        #: detector cells or the store (-inf = unknown).  Buckets ripen
-        #: only once per bucket boundary, so while the horizon is below
-        #: it the per-fold ripeness sweep has nothing to find.
+        #: Every window starting at or below this has closed: it was fed
+        #: to the detector once, and a late record for it never is.
+        self._fed_through = -math.inf
+        #: Lower bound on the oldest bucket start above ``_fed_through``
+        #: that holds records (-inf = unknown).  Buckets ripen only once
+        #: per bucket boundary, so while the horizon is below it the
+        #: per-fold ripeness sweep has nothing to find.
         self._oldest_open = -math.inf
         self._watermark: Optional[float] = None
         #: What a checkpoint records as "consumed through here": the
@@ -205,6 +203,11 @@ class StreamEngine:
                     "start over with an empty store directory"
                 )
             return
+        if "fed_through" not in payload:
+            raise CheckpointError(
+                "checkpoint predates the slice-based rollup format; "
+                "start over with an empty checkpoint and store"
+            )
         if payload["bucket_seconds"] != self.bucket_seconds:
             raise CheckpointError(
                 "checkpoint bucket size differs from engine configuration"
@@ -225,10 +228,8 @@ class StreamEngine:
             self.rollup = StreamRollup.from_dict(payload["rollup"])
         self.detector = EwmaDetector.from_dict(payload["anomaly"])
         self._n_folded = payload["samples_done"]
-        self._open_cells = {
-            (country, bucket): [total, matches]
-            for country, bucket, total, matches in payload["open_cells"]
-        }
+        fed = payload["fed_through"]
+        self._fed_through = -math.inf if fed is None else fed
         self._oldest_open = -math.inf
         self._watermark = payload["watermark"]
         self._safe_cursor = payload["cursor"]
@@ -249,10 +250,9 @@ class StreamEngine:
             "cursor": self._safe_cursor,
             "watermark": self._watermark,
             "anomaly": self.detector.to_dict(),
-            "open_cells": [
-                [country, bucket, counts[0], counts[1]]
-                for (country, bucket), counts in self._open_cells.items()
-            ],
+            "fed_through": (
+                None if self._fed_through == -math.inf else self._fed_through
+            ),
         }
         if self.store is not None:
             # Sealed history lives in segments; the checkpoint carries
@@ -265,57 +265,57 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Windowing
     # ------------------------------------------------------------------
-    def _close_ripe_cells(self) -> None:
-        """Feed every cell whose bucket has fully passed to the detector."""
+    def _close_ripe_windows(self) -> None:
+        """Close every window the horizon has passed: feed, then seal."""
         if self._watermark is None:
             return
         horizon = self._watermark - self.bucket_seconds - self.grace_seconds
         if horizon < self._oldest_open:
+            if horizon > self._fed_through:
+                self._fed_through = horizon
             return
-        ripe = sorted(
-            (cell for cell in self._open_cells if cell[1] <= horizon),
-            key=lambda cell: (cell[1], cell[0]),
-        )
+        self._feed_windows(horizon)
+        if self.store is not None:
+            # The same horizon that closes detector windows seals store
+            # buckets: an in-order source can never touch them again.
+            if self.store.seal_through(horizon):
+                self.store.maybe_compact()
+
+    def _unfed_slices(self) -> Dict[float, BucketSlice]:
+        counters = self.store if self.store is not None else self.rollup
+        return counters.slices_after(self._fed_through)
+
+    def _feed_windows(self, horizon: float) -> None:
+        """Feed the detector every window in (fed horizon, ``horizon``],
+        in (bucket, country) order, from the windows' bucket slices."""
+        slices = self._unfed_slices()
+        ripe = sorted(bucket for bucket in slices if bucket <= horizon)
         if ripe:
             # One anomaly.observe span per non-empty sweep, not per
-            # cell: most records ripen nothing, and a per-cell span
+            # window: most records ripen nothing, and a per-window span
             # would make the detector look like a per-record stage.
             events_before = self.metrics.anomaly_events
             with self._t_anomaly:
-                for cell in ripe:
-                    self._feed_cell(cell)
+                for bucket in ripe:
+                    slice_ = slices[bucket]
+                    for country in sorted(slice_.totals):
+                        total = slice_.totals[country]
+                        rate = 100.0 * slice_.matches.get(country, 0) / total
+                        events = self.detector.observe(country, bucket, rate, total)
+                        self.metrics.anomaly_events += len(events)
             rec = self._trace_rec
             if (
                 rec.active is not None
                 and self.metrics.anomaly_events > events_before
             ):
-                # The record whose arrival tipped a detector cell is
+                # The record whose arrival closed an alerting window is
                 # worth keeping whole, however fast it was.
                 rec.pin(rec.active.trace_id, "anomaly")
-        if self.store is not None:
-            # The same horizon that closes detector cells seals store
-            # buckets: an in-order source can never touch them again.
-            if self.store.seal_through(horizon):
-                self.store.maybe_compact()
-        # Every remaining cell and store bucket now lies above horizon.
-        oldest = min((cell[1] for cell in self._open_cells), default=math.inf)
-        if self.store is not None:
-            oldest = min(oldest, self.store.oldest_open_bucket())
-        self._oldest_open = oldest
-
-    def _flush_cells(self) -> None:
-        """End of stream: close everything still open, in time order."""
-        cells = sorted(self._open_cells, key=lambda cell: (cell[1], cell[0]))
-        if cells:
-            with self._t_anomaly:
-                for cell in cells:
-                    self._feed_cell(cell)
-
-    def _feed_cell(self, cell: Tuple[str, float]) -> None:
-        total, matches = self._open_cells.pop(cell)
-        rate = 100.0 * matches / total if total else 0.0
-        events = self.detector.observe(cell[0], cell[1], rate, total)
-        self.metrics.anomaly_events += len(events)
+        if horizon > self._fed_through:
+            self._fed_through = horizon
+        self._oldest_open = min(
+            (bucket for bucket in slices if bucket > horizon), default=math.inf
+        )
 
     def _fold(self, record: StreamRecord) -> None:
         """Geolocate, roll up, advance windows, checkpoint when due."""
@@ -337,17 +337,12 @@ class StreamEngine:
 
         bucket = self.rollup.bucket_of(record.ts)
         if bucket < self._oldest_open:
-            # This record's cell (and any store bucket the add above
-            # opened) is now the oldest open bucket.
+            # This record's bucket is now the oldest one open (a late
+            # record's bucket is swept once, to seal it, but not fed).
             self._oldest_open = bucket
-        cell = (record.country, bucket)
-        counts = self._open_cells.setdefault(cell, [0, 0])
-        counts[0] += 1
-        if record.is_tampering:
-            counts[1] += 1
         if self._watermark is None or record.ts > self._watermark:
             self._watermark = record.ts
-        self._close_ripe_cells()
+        self._close_ripe_windows()
 
         if self.checkpointer is not None and self.checkpointer.due(self._n_folded):
             self.checkpoint_now()
@@ -536,7 +531,8 @@ class StreamEngine:
         ``RollupStore.sealed_skips``).
         """
         if seal:
-            self._flush_cells()
+            # End of stream: close every window still open.
+            self._feed_windows(max(self._unfed_slices(), default=-math.inf))
             if self.store is not None:
                 self.store.seal_open()
                 self.store.maybe_compact()

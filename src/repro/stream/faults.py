@@ -499,14 +499,14 @@ def _drill_store_compaction(
     into the same store directory and must end byte-for-byte equal to a
     clean uninterrupted run on all four query families, both through
     the engine's rollup and through a fresh :class:`RollupStore` opened
-    over the directory.
+    over the directory, and its detector must equal the clean run's.
     """
     from repro.store import CompactionConfig, RollupStore, StoreConfig
     from repro.stream.engine import StreamEngine
 
     source = _drill_source(scenario, connections, seed)
-    clean_report = StreamEngine(source, geodb=source.world.geo).run()
-    clean = _rollup_fingerprint(clean_report.rollup)
+    clean_engine = StreamEngine(source, geodb=source.world.geo)
+    clean = _rollup_fingerprint(clean_engine.run().rollup)
 
     interval = max(10, connections // 40)
     owns_dir = checkpoint_dir is None
@@ -552,6 +552,7 @@ def _drill_store_compaction(
         resumed = engine.run(resume=True)
         resume_events = len(engine.obs.tracer.events("engine.resume"))
         engine_parity = _rollup_fingerprint(resumed.rollup) == clean
+        detector_parity = engine.detector.to_dict() == clean_engine.detector.to_dict()
 
         # The disk must agree with the engine: reopen cold and query.
         reopened = RollupStore(store_dir)
@@ -560,7 +561,7 @@ def _drill_store_compaction(
         reopened.close()
         return DrillResult(
             mode="store-compaction",
-            parity=killed and engine_parity and query_parity,
+            parity=killed and engine_parity and query_parity and detector_parity,
             samples=resumed.rollup.n_records,
             details={
                 "child_exitcode": child.exitcode,
@@ -575,6 +576,7 @@ def _drill_store_compaction(
                     else True
                 ),
                 "engine_parity": engine_parity,
+                "detector_parity": detector_parity,
                 "store_query_parity": query_parity,
                 "sealed_skips": resumed.metrics["store"]["sealed_skips"],
                 "segments": store_stats["segments"],

@@ -1,32 +1,28 @@
-"""Incremental windowed aggregation over the classified stream.
+"""The classified stream record and the in-memory rollup it folds into.
 
-:class:`StreamRollup` consumes :class:`StreamRecord` values one at a time and maintains per-country × signature × hour
-counters -- everything the headline batch analyses read -- without
-retaining a single sample.  Its query methods reproduce the
-corresponding :class:`~repro.core.aggregate.AnalysisDataset` results
-*bit for bit* on the same stream: counters are integers, and the
-percentage arithmetic follows the batch implementation exactly,
-including accumulation order (per-country signature tallies are kept in
-first-seen order, the order a batch ``Counter`` would iterate).
-
-Rollups are **serialisable** (plain-JSON state for checkpoints).
+:class:`StreamRollup` is a :class:`~repro.store.catalog.KeyCatalog`
+plus one :class:`~repro.store.segment.BucketSlice` per time bucket: the
+durable store's layout, held in memory.  Its queries run
+:func:`repro.store.query.execute`, so they answer exactly like the store
+and like the batch :class:`~repro.core.aggregate.AnalysisDataset`.
+:meth:`StreamRollup.to_dict` is the catalog plus the slices in the
+segment payload format.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.classifier import ClassificationResult
 from repro.core.model import SignatureId, Stage
 from repro.errors import StreamError
+from repro.store.catalog import KeyCatalog
+from repro.store.query import StoreQuery, country_signature_shares, execute
+from repro.store.segment import DEFAULT_BUCKET_SECONDS, BucketSlice
 
 __all__ = ["StreamRecord", "StreamRollup", "DEFAULT_BUCKET_SECONDS"]
-
-#: One hour -- the granularity of the paper's Radar-style aggregates.
-DEFAULT_BUCKET_SECONDS = 3600.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,206 +76,102 @@ class StreamRecord:
 
 
 class StreamRollup:
-    """Per-country × signature × hour counters."""
+    """A key catalog plus one bucket slice per time bucket."""
 
-    def __init__(self, bucket_seconds: float = DEFAULT_BUCKET_SECONDS) -> None:
+    def __init__(
+        self,
+        bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
+        catalog: Optional[KeyCatalog] = None,
+        slices: Optional[Dict[float, BucketSlice]] = None,
+    ) -> None:
         if bucket_seconds <= 0:
             raise StreamError("bucket_seconds must be positive")
         self.bucket_seconds = bucket_seconds
-        self.n_records = 0
-        #: country -> total connections
-        self.totals: Dict[str, int] = {}
-        #: country -> {signature-or-NOT_TAMPERING -> count}, first-seen order
-        self.by_signature: Dict[str, Dict[SignatureId, int]] = {}
-        #: (country, bucket_start) -> totals / tampering matches
-        self.bucket_totals: Dict[Tuple[str, float], int] = {}
-        self.bucket_matches: Dict[Tuple[str, float], int] = {}
-        #: (country, signature, bucket_start) -> tampering matches
-        self.bucket_signature: Dict[Tuple[str, SignatureId, float], int] = {}
-        # --- stage statistics (the Table 1 companion numbers) ---
-        self.possibly_tampered = 0
-        self.stage_counts: Dict[str, int] = {}
-        self.stage_matched: Dict[str, int] = {}
-        self.signature_counts: Counter = Counter()
-        # --- stream extent ---
-        self.min_ts: Optional[float] = None
-        self.max_ts: Optional[float] = None
+        self.catalog = catalog if catalog is not None else KeyCatalog()
+        #: bucket start -> every counter family for that bucket
+        self.slices: Dict[float, BucketSlice] = slices if slices is not None else {}
 
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
     def bucket_of(self, ts: float) -> float:
         return math.floor(ts / self.bucket_seconds) * self.bucket_seconds
 
     def add(self, record: StreamRecord) -> None:
-        """Fold one classified connection into every counter."""
-        country = record.country
-        self.n_records += 1
-        self.totals[country] = self.totals.get(country, 0) + 1
-
-        sig_key = record.signature if record.is_tampering else SignatureId.NOT_TAMPERING
-        sigs = self.by_signature.setdefault(country, {})
-        sigs[sig_key] = sigs.get(sig_key, 0) + 1
-
+        """Fold one classified connection into its bucket's slice."""
+        self.catalog.observe_record(record)
         bucket = self.bucket_of(record.ts)
-        cell = (country, bucket)
-        self.bucket_totals[cell] = self.bucket_totals.get(cell, 0) + 1
-        if record.is_tampering:
-            self.bucket_matches[cell] = self.bucket_matches.get(cell, 0) + 1
-            sig_cell = (country, record.signature, bucket)
-            self.bucket_signature[sig_cell] = self.bucket_signature.get(sig_cell, 0) + 1
+        slice_ = self.slices.get(bucket)
+        if slice_ is None:
+            slice_ = self.slices[bucket] = BucketSlice(bucket)
+        slice_.add(
+            record.country,
+            record.ts,
+            record.signature,
+            record.stage,
+            record.possibly_tampered,
+        )
 
-        if record.possibly_tampered:
-            self.possibly_tampered += 1
-            stage_key = record.stage.value if record.stage != Stage.NONE else "other"
-            self.stage_counts[stage_key] = self.stage_counts.get(stage_key, 0) + 1
-            if record.is_tampering:
-                self.stage_matched[stage_key] = self.stage_matched.get(stage_key, 0) + 1
-                self.signature_counts[record.signature] += 1
+    def slices_after(self, lo: float) -> Dict[float, BucketSlice]:
+        """The slices of every bucket starting above ``lo``."""
+        return {b: s for b, s in self.slices.items() if b > lo}
 
-        if self.min_ts is None or record.ts < self.min_ts:
-            self.min_ts = record.ts
-        if self.max_ts is None or record.ts > self.max_ts:
-            self.max_ts = record.ts
+    @property
+    def n_records(self) -> int:
+        return sum(s.n_records for s in self.slices.values())
+
+    @property
+    def countries(self) -> List[str]:
+        return sorted({c for s in self.slices.values() for c in s.totals})
 
     # ------------------------------------------------------------------
     # Serialise
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe state; list-of-rows encodings preserve key order."""
+        """JSON-safe state: the catalog, then slices in segment format."""
         return {
             "bucket_seconds": self.bucket_seconds,
-            "n_records": self.n_records,
-            "totals": [[c, n] for c, n in self.totals.items()],
-            "by_signature": [
-                [country, [[sig.value, n] for sig, n in sigs.items()]]
-                for country, sigs in self.by_signature.items()
+            "catalog": self.catalog.to_dict(),
+            "buckets": [
+                [bucket, self.slices[bucket].to_payload()]
+                for bucket in sorted(self.slices)
             ],
-            "bucket_totals": [[c, b, n] for (c, b), n in self.bucket_totals.items()],
-            "bucket_matches": [[c, b, n] for (c, b), n in self.bucket_matches.items()],
-            "bucket_signature": [
-                [c, sig.value, b, n] for (c, sig, b), n in self.bucket_signature.items()
-            ],
-            "possibly_tampered": self.possibly_tampered,
-            "stage_counts": dict(self.stage_counts),
-            "stage_matched": dict(self.stage_matched),
-            "signature_counts": [[sig.value, n] for sig, n in self.signature_counts.items()],
-            "min_ts": self.min_ts,
-            "max_ts": self.max_ts,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamRollup":
-        rollup = cls(bucket_seconds=data["bucket_seconds"])
-        rollup.n_records = data["n_records"]
-        rollup.totals = {c: n for c, n in data["totals"]}
-        rollup.by_signature = {
-            country: {SignatureId(value): n for value, n in sigs}
-            for country, sigs in data["by_signature"]
-        }
-        rollup.bucket_totals = {(c, b): n for c, b, n in data["bucket_totals"]}
-        rollup.bucket_matches = {(c, b): n for c, b, n in data["bucket_matches"]}
-        rollup.bucket_signature = {
-            (c, SignatureId(value), b): n for c, value, b, n in data["bucket_signature"]
-        }
-        rollup.possibly_tampered = data["possibly_tampered"]
-        rollup.stage_counts = dict(data["stage_counts"])
-        rollup.stage_matched = dict(data["stage_matched"])
-        rollup.signature_counts = Counter(
-            {SignatureId(value): n for value, n in data["signature_counts"]}
+        return cls(
+            bucket_seconds=data["bucket_seconds"],
+            catalog=KeyCatalog.from_dict(data["catalog"]),
+            slices={
+                bucket: BucketSlice.from_payload(bucket, payload)
+                for bucket, payload in data["buckets"]
+            },
         )
-        rollup.min_ts = data["min_ts"]
-        rollup.max_ts = data["max_ts"]
-        return rollup
 
     # ------------------------------------------------------------------
-    # Queries (batch-parity methods)
+    # Queries (batch parity, through the store's query engine)
     # ------------------------------------------------------------------
+    def _execute(self, family: str, country: Optional[str] = None):
+        return execute(
+            StoreQuery(family, country=country), self.catalog, self.slices.values()
+        )
+
     def country_signature_shares(self) -> Dict[str, Dict[SignatureId, float]]:
-        """Per country: % of its connections matching each signature.
-
-        Mirrors :meth:`AnalysisDataset.country_signature_shares`.
-        """
-        return {
-            country: {
-                sig: 100.0 * n / self.totals[country] for sig, n in sigs.items()
-            }
-            for country, sigs in self.by_signature.items()
-        }
+        """Per country: % of its connections matching each signature."""
+        return country_signature_shares(self.catalog, self.slices.values())
 
     def country_tampering_rate(self) -> Dict[str, float]:
         """Per country: % of connections matching any tampering signature."""
-        shares = self.country_signature_shares()
-        return {
-            country: sum(pct for sig, pct in sigs.items() if sig.is_tampering)
-            for country, sigs in shares.items()
-        }
+        return self._execute("country_tampering_rate")
 
     def timeseries(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Per country: (bucket_start, tampering %) sorted by time.
-
-        Mirrors :meth:`AnalysisDataset.timeseries` at this rollup's
-        bucket size (default one hour) with no signature/stage filter.
-        """
-        buckets_by_country: Dict[str, List[float]] = {}
-        for country, bucket in self.bucket_totals:
-            buckets_by_country.setdefault(country, []).append(bucket)
-        return {
-            country: [
-                (
-                    b,
-                    100.0
-                    * self.bucket_matches.get((country, b), 0)
-                    / self.bucket_totals.get((country, b), 1),
-                )
-                for b in sorted(buckets)
-            ]
-            for country, buckets in buckets_by_country.items()
-        }
+        """Per country: (bucket_start, tampering %) sorted by time."""
+        return self._execute("timeseries")
 
     def signature_hour_counts(
         self, country: str
     ) -> Dict[SignatureId, List[Tuple[float, int]]]:
         """Per signature: (bucket_start, match count) for one country."""
-        out: Dict[SignatureId, List[Tuple[float, int]]] = {}
-        for (c, sig, bucket), n in self.bucket_signature.items():
-            if c == country:
-                out.setdefault(sig, []).append((bucket, n))
-        for series in out.values():
-            series.sort()
-        return out
-
-    def bucket_rate(self, country: str, bucket: float) -> Optional[float]:
-        """Tampering % of one (country, bucket) cell, if observed."""
-        total = self.bucket_totals.get((country, bucket))
-        if not total:
-            return None
-        return 100.0 * self.bucket_matches.get((country, bucket), 0) / total
+        return self._execute("signature_hour_counts", country)
 
     def stage_statistics(self) -> Dict[str, object]:
-        """The §4.1 headline numbers, mirroring the batch implementation."""
-        total = self.n_records
-        n_possibly = self.possibly_tampered
-        matched_total = sum(self.signature_counts.values())
-
-        def share(n: int, d: int) -> float:
-            return 100.0 * n / d if d else 0.0
-
-        return {
-            "total_connections": total,
-            "possibly_tampered": n_possibly,
-            "possibly_tampered_pct": share(n_possibly, total),
-            "stage_share_pct": {
-                k: share(v, n_possibly) for k, v in sorted(self.stage_counts.items())
-            },
-            "stage_coverage_pct": {
-                k: share(self.stage_matched.get(k, 0), v)
-                for k, v in sorted(self.stage_counts.items())
-            },
-            "signature_coverage_pct": share(matched_total, n_possibly),
-            "signature_counts": Counter(self.signature_counts),
-        }
-
-    @property
-    def countries(self) -> List[str]:
-        return sorted(self.totals)
+        """The §4.1 headline numbers."""
+        return self._execute("stage_statistics")

@@ -201,30 +201,6 @@ class TestKeyCatalog:
 # Bucket slices and segment files
 # ----------------------------------------------------------------------
 class TestBucketSlice:
-    def test_add_mirrors_rollup_for_one_bucket(self):
-        records = [
-            r for r in random_records(5, 200, n_buckets=1)
-        ]  # all in bucket 0
-        rollup = StreamRollup()
-        slice_ = BucketSlice(0.0)
-        for record in records:
-            rollup.add(record)
-            slice_.add(
-                record.country,
-                record.ts,
-                record.signature,
-                record.stage,
-                record.possibly_tampered,
-            )
-        assert slice_.n_records == rollup.n_records
-        assert slice_.possibly_tampered == rollup.possibly_tampered
-        assert slice_.totals == rollup.totals
-        assert slice_.by_signature == rollup.by_signature
-        assert slice_.stage_counts == rollup.stage_counts
-        assert slice_.stage_matched == rollup.stage_matched
-        assert slice_.signature_counts == dict(rollup.signature_counts)
-        assert (slice_.min_ts, slice_.max_ts) == (rollup.min_ts, rollup.max_ts)
-
     def test_payload_roundtrip(self):
         slice_ = BucketSlice(HOUR)
         for record in random_records(9, 150, n_buckets=1):
@@ -252,10 +228,6 @@ class TestBucketSlice:
             "max_ts",
         ):
             assert getattr(clone, field) == getattr(slice_, field), field
-
-    def test_merge_rejects_different_bucket(self):
-        with pytest.raises(StoreError):
-            BucketSlice(0.0).merge(BucketSlice(HOUR))
 
 
 class TestSegmentFiles:

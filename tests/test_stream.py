@@ -21,6 +21,7 @@ import pytest
 
 from repro.cdn.collector import write_samples_jsonl
 from repro.core.aggregate import AnalysisDataset
+from repro.core.classifier import TamperingClassifier
 from repro.errors import CheckpointError, StreamError
 from repro.stream import (
     AnomalyConfig,
@@ -34,6 +35,7 @@ from repro.stream import (
     StreamItem,
     StreamRollup,
 )
+from repro.stream.faults import _rollup_fingerprint
 from repro.workloads.profiles import profile_for
 from repro.workloads.scenarios import (
     iran_protest_study,
@@ -203,6 +205,20 @@ class TestRollupParity:
                 assert sig.is_tampering
                 assert all(n > 0 for _, n in series)
                 assert series == sorted(series)
+
+
+class TestStoreRollupParity(TestRollupParity):
+    """The same batch oracle, against the rollup a store materialises."""
+
+    @pytest.fixture(scope="class")
+    def report(self, study, tmp_path_factory):
+        engine = StreamEngine(
+            make_source(study), geodb=study.geo,
+            store_dir=str(tmp_path_factory.mktemp("parity-store")),
+        )
+        report = engine.run()
+        engine.store.close()
+        return report
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +501,7 @@ class TestEngine:
         report = StreamEngine(make_source(study)).run(max_samples=50)
         assert report.rollup.countries == ["??"]
 
-    def test_ripe_cells_close_at_boundaries_and_on_late_records(self, study, tmp_path):
+    def test_ripe_windows_close_once_at_boundaries(self, study, tmp_path):
         engine = StreamEngine(
             None, bucket_seconds=3600.0,
             store_dir=str(tmp_path / "store"),
@@ -508,15 +524,173 @@ class TestEngine:
         assert observed == []
         push(3700.0)  # horizon 100 reaches bucket 0
         assert observed == [(0.0, 2)]
-        assert engine.store.oldest_open_bucket() == 3600.0
+        assert engine.store.stats()["open_buckets"] == 1  # bucket 0 sealed
         push(3800.0)
         assert observed == [(0.0, 2)]
-        push(150.0)  # late: bucket 0 reopens as a cell and closes at once
-        assert observed == [(0.0, 2), (0.0, 1)]
-        assert ("??", 0.0) not in engine._open_cells
+        push(150.0)  # late: bucket 0 closed; neither store nor detector counts it
+        assert observed == [(0.0, 2)]
         assert engine.store.sealed_skips == 1
         engine.drain()
-        assert observed[-1] == (3600.0, 2)
+        assert observed == [(0.0, 2), (3600.0, 2)]
+
+
+class _CrashAfter:
+    """Delegating source that raises after N items, like a crash that
+    leaves the last periodic checkpoint as the only durable one."""
+
+    def __init__(self, inner, after):
+        self.inner = inner
+        self.after = after
+
+    def __iter__(self):
+        for count, item in enumerate(self.inner, 1):
+            if count > self.after:
+                raise RuntimeError("simulated crash")
+            yield item
+
+    def cursor(self):
+        return self.inner.cursor()
+
+    def seek(self, cursor):
+        self.inner.seek(cursor)
+
+    def close(self):
+        self.inner.close()
+
+
+class TestDetectorWindows:
+    """Each (country, window) reaches the detector exactly once."""
+
+    @pytest.fixture(scope="class")
+    def by_verdict(self, study):
+        classifier = TamperingClassifier()
+        tampered, clean = [], []
+        for sample in study.samples:
+            is_tampering = classifier.classify(sample).signature.is_tampering
+            (tampered if is_tampering else clean).append(sample)
+        return tampered, clean
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["memory", "store"])
+    def test_late_record_leaves_an_active_incident_alone(
+        self, by_verdict, tmp_path, with_store
+    ):
+        tampered, clean = iter(by_verdict[0]), iter(by_verdict[1])
+        engine = StreamEngine(
+            None,
+            anomaly_config=AnomalyConfig(min_windows=3),
+            store_dir=str(tmp_path / "store") if with_store else None,
+        )
+        engine.open_push()
+
+        def hour(index, pool, n=6):
+            return [
+                StreamItem(sample=next(pool), ts=index * 3600.0 + 60.0 * k)
+                for k in range(n)
+            ]
+
+        for index in range(4):  # a clean baseline
+            engine.push_items(hour(index, clean))
+        engine.push_items(hour(4, tampered))  # the spike
+        engine.push_items(hour(5, clean, n=1))  # closes the spike window
+        assert engine.detector.active_countries == ["??"]
+        before = json.dumps(engine.detector.to_dict())
+        events = [e.to_dict() for e in engine.detector.events]
+
+        # A straggler for the closed first window, then one for the
+        # closed spike window: neither may touch the detector.
+        engine.push_items([StreamItem(sample=next(clean), ts=100.0)])
+        engine.push_items([StreamItem(sample=next(tampered), ts=4 * 3600.0 + 5.0)])
+        assert json.dumps(engine.detector.to_dict()) == before
+        assert [e.to_dict() for e in engine.detector.events] == events
+        if with_store:
+            assert engine.store.sealed_skips == 2
+        engine.drain(seal=False)
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["memory", "store"])
+    def test_restart_after_a_sealed_drain_feeds_no_window_twice(
+        self, study, tmp_path, with_store
+    ):
+        # A sealed drain closes every window, including those above the
+        # horizon; the restarted session must not feed them again.
+        bucket = 4 * 3600.0
+        items = sorted(
+            (
+                StreamItem(sample=s, ts=study.timestamps[s.conn_id])
+                for s in study.samples
+            ),
+            key=lambda item: item.ts,
+        )
+        cut = next(
+            k for k in range(len(items) // 2, len(items))
+            if items[k].ts // bucket != items[k - 1].ts // bucket
+        )
+
+        def engine(name, **kwargs):
+            return StreamEngine(
+                None, geodb=study.geo, bucket_seconds=bucket,
+                anomaly_config=AnomalyConfig(min_window_total=1),
+                store_dir=str(tmp_path / name) if with_store else None,
+                **kwargs,
+            )
+
+        whole = engine("whole")
+        whole.open_push()
+        whole.push_items(items)
+        whole.drain()
+
+        ck = str(tmp_path / "ck.json")
+        first = engine("restarted", checkpoint_path=ck)
+        first.open_push()
+        first.push_items(items[:cut])
+        first.drain(seal=True)
+        if with_store:
+            first.store.close()
+        second = engine("restarted", checkpoint_path=ck)
+        second.open_push(resume=True)
+        second.push_items(items[cut:])
+        second.drain()
+        assert second.detector.to_dict() == whole.detector.to_dict()
+
+    def test_resume_after_seals_keeps_every_window(self, study, tmp_path):
+        # Four-hour windows, every one scored: each window the resume
+        # could miss moves some country's baseline.
+        config = dict(
+            geodb=study.geo,
+            bucket_seconds=4 * 3600.0,
+            anomaly_config=AnomalyConfig(min_window_total=1),
+        )
+        clean = StreamEngine(make_source(study), **config)
+        clean_report = clean.run()
+
+        ck = str(tmp_path / "ck.json")
+        store_dir = str(tmp_path / "store")
+        crashed = StreamEngine(
+            _CrashAfter(make_source(study), after=370),
+            checkpoint_path=ck, checkpoint_interval=100,
+            store_dir=store_dir, **config,
+        )
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            crashed.run()
+        crashed.store.close()  # the WAL is flushed; the checkpoint is at 300
+        checkpoint = CheckpointManager(ck).load()
+        assert checkpoint["samples_done"] == 300
+        assert crashed.store.manifest.generation > checkpoint["store"]["generation"]
+
+        resumed = StreamEngine(
+            make_source(study),
+            checkpoint_path=ck, checkpoint_interval=100,
+            store_dir=store_dir, **config,
+        )
+        report = resumed.run(resume=True)
+        resumed.store.close()
+        assert report.metrics["store"]["sealed_skips"] > 0
+        assert _rollup_fingerprint(report.rollup) == _rollup_fingerprint(
+            clean_report.rollup
+        )
+        assert resumed.detector.to_dict() == clean.detector.to_dict()
+        assert [e.to_dict() for e in report.events] == [
+            e.to_dict() for e in clean_report.events
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -195,9 +195,23 @@ class TestSatelliteRegressions:
             IterableSource(study.samples[:n], timestamps=study.timestamps),
             geodb=study.geo,
         )
+        observed = []
+        observe = engine.detector.observe
+
+        def spy(country, window_start, rate, total):
+            observed.append((country, window_start))
+            return observe(country, window_start, rate, total)
+
+        engine.detector.observe = spy
         report = engine.run(max_samples=n)
         assert report.finished
-        assert engine._open_cells == {}  # trailing windows flushed
+        # Every window was closed exactly once, the trailing ones too.
+        windows = [
+            (country, bucket)
+            for bucket, slice_ in report.rollup.slices.items()
+            for country in slice_.totals
+        ]
+        assert sorted(observed) == sorted(windows)
         assert report.rollup.to_dict() == baseline.rollup.to_dict()
         assert [e.to_dict() for e in report.events] == [
             e.to_dict() for e in baseline.events
@@ -281,6 +295,7 @@ class TestDrills:
         assert result.details["killed_by_sigkill"]
         assert result.details["engine_parity"]
         assert result.details["store_query_parity"]
+        assert result.details["detector_parity"]
         assert result.details["resumed_from"] > 0
 
     def test_unknown_drill_rejected(self):
