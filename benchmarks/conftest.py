@@ -56,14 +56,13 @@ def records(study, results):
 
     geo = study.world.geo
     out = []
-    for seq, result in enumerate(results):
-        record = StreamRecord.from_result(
-            result, seq=seq, ts=study.timestamps.get(result.sample.conn_id)
-        )
-        located = geo.lookup_or_none(record.client_ip)
-        if located is not None:
-            record = record.located(located.country, located.asn)
-        out.append(record)
+    for result in results:
+        located = geo.lookup_or_none(result.sample.client_ip)
+        out.append(StreamRecord.from_result(
+            result,
+            ts=study.timestamps.get(result.sample.conn_id),
+            country=located.country if located is not None else "??",
+        ))
     return out
 
 

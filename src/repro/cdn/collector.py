@@ -17,13 +17,37 @@ import base64
 import dataclasses
 import json
 from binascii import a2b_base64
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
-from repro._util import ip_version
 from repro.netstack.options import TCPOption
 from repro.netstack.packet import Packet, PacketDirection
 
-__all__ = ["ConnectionSample", "write_samples_jsonl", "read_samples_jsonl"]
+__all__ = [
+    "ConnectionSample",
+    "MAX_TIMESTAMP",
+    "checked_timestamp",
+    "write_samples_jsonl",
+    "read_samples_jsonl",
+]
+
+#: Largest accepted timestamp magnitude, in seconds: 0000-01-01T00:00:00Z
+#: of year 10000.  A time past it cannot be a capture time, and the
+#: store names files after bucket starts, so a huge one cannot be stored.
+MAX_TIMESTAMP = 253402300800.0
+
+
+def checked_timestamp(value, field: str):
+    """``value`` unchanged if it is a number within ``±MAX_TIMESTAMP``.
+
+    Raises ``TypeError`` for a non-number and ``ValueError`` for NaN,
+    an infinity or anything past the bound, so a bad time is refused
+    where a sample is admitted, not where it is folded.
+    """
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, not {type(value).__name__}")
+    if not -MAX_TIMESTAMP <= value <= MAX_TIMESTAMP:
+        raise ValueError(f"{field} {value!r} is not a finite time within ±{MAX_TIMESTAMP:.0f}")
+    return value
 
 
 @dataclasses.dataclass
@@ -128,27 +152,24 @@ class ConnectionSample:
     def from_dict(cls, data: dict) -> "ConnectionSample":
         """Inverse of :meth:`to_dict`.
 
-        Every packet of a sample normally shares one ``src``, so each
-        distinct address is parsed once (malformed ones still raise
-        ``ValueError``) and its version handed to every packet that
-        carries it.
+        A malformed packet ``src`` raises ``ValueError``.  ``client_ip``
+        must be a string, and ``window_end`` and each packet ``ts`` must
+        pass :func:`checked_timestamp`: the fold reads all three.
         """
-        versions: Dict[str, int] = {}
+        client_ip = data["client_ip"]
+        if not isinstance(client_ip, str):
+            raise TypeError(f"client_ip must be a string, not {type(client_ip).__name__}")
+        window_end = checked_timestamp(data["window_end"], "window_end")
         packets = []
         for entry in data["packets"]:
-            src = entry["src"]
-            version = versions.get(src)
-            if version is None:
-                version = versions[src] = ip_version(src)
             payload = entry["payload"]
             options = entry.get("options")
             packets.append(Packet(
-                ts=entry["ts"],
-                src=src,
+                ts=checked_timestamp(entry["ts"], "packet ts"),
+                src=entry["src"],  # Packet derives ip_version from it
                 dst=entry["dst"],
                 ttl=entry["ttl"],
                 ip_id=entry["ip_id"],
-                ip_version=version,
                 sport=entry["sport"],
                 dport=entry["dport"],
                 seq=entry["seq"],
@@ -165,8 +186,8 @@ class ConnectionSample:
         return cls(
             conn_id=data["conn_id"],
             packets=packets,
-            window_end=data["window_end"],
-            client_ip=data["client_ip"],
+            window_end=window_end,
+            client_ip=client_ip,
             client_port=data["client_port"],
             server_ip=data["server_ip"],
             server_port=data["server_port"],

@@ -42,7 +42,12 @@ class PacketDirection(enum.Enum):
     TO_CLIENT = "to_client"
 
 
-@dataclasses.dataclass
+#: ``TCPFlags`` member per wire byte, filled on first use: the enum's
+#: ``__call__`` costs microseconds, and every decoded packet needs one.
+_FLAGS_BY_BYTE: List[Optional[TCPFlags]] = [None] * 256
+
+
+@dataclasses.dataclass(slots=True)
 class Packet:
     """One TCP/IP packet.
 
@@ -80,7 +85,16 @@ class Packet:
         self.ack &= 0xFFFFFFFF
         self.ip_id &= 0xFFFF
         self.ttl &= 0xFF
-        self.flags = TCPFlags(self.flags)
+        flags = self.flags
+        if type(flags) is int and 0 <= flags <= 0xFF:
+            member = _FLAGS_BY_BYTE[flags]
+            if member is None:
+                member = _FLAGS_BY_BYTE[flags] = TCPFlags(flags)
+            self.flags = member
+        elif type(flags) is not TCPFlags:
+            # Out-of-range ints and other types keep the enum's own
+            # conversion and its exceptions.
+            self.flags = TCPFlags(flags)
         if not isinstance(self.options, tuple):
             self.options = tuple(self.options)
 

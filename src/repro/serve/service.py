@@ -38,7 +38,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.cdn.collector import ConnectionSample
+from repro.cdn.collector import ConnectionSample, checked_timestamp
 from repro.errors import ReproError, ServeError, StoreError
 from repro.obs import (
     NULL_OBS,
@@ -86,6 +86,8 @@ def _parse_sample_entries(
     ``{"ts": <float>, "sample": {...}}``; the wrapper carries the
     connection start time when the producer knows it (the simulator
     tap does), mirroring :class:`~repro.stream.source.StreamItem`.
+    A wrapper ``ts`` must pass
+    :func:`~repro.cdn.collector.checked_timestamp` once made a float.
 
     ``trace`` (the request's server-side trace context, when sampled)
     rides on every item so the batcher and engine can attach their
@@ -111,7 +113,7 @@ def _parse_sample_entries(
         if "sample" in entry:
             ts = entry.get("ts")
             if ts is not None:
-                ts = float(ts)
+                ts = checked_timestamp(float(ts), "ts")
             payload = entry["sample"]
         else:
             ts = None
@@ -183,8 +185,9 @@ class ServeService:
         self._draining = False
         self.report = None
         #: Set once the engine is folded past its first checkpoint --
-        #: the /readyz contract.  A threading.Event so test harnesses
-        #: can await startup from another thread.
+        #: the /readyz contract -- and cleared at drain or when the
+        #: ingest worker dies.  A threading.Event so test harnesses can
+        #: await startup from another thread.
         self.ready = threading.Event()
         self.port: Optional[int] = None
         self.ingest_errors = 0
@@ -308,22 +311,29 @@ class ServeService:
     # Ingest worker
     # ------------------------------------------------------------------
     def _ingest_worker(self) -> None:
-        while True:
-            batch = self.batcher.next_batch()
-            if batch is None:
-                return
-            try:
-                with self._engine_lock:
-                    self.engine.push_items(batch)
-            except ReproError as exc:
-                # A batch the classifier cannot digest must not kill
-                # the fold loop; it was validated at POST time, so this
-                # is exceptional enough to count and log loudly.
-                self.ingest_errors += 1
-                self._c_ingest_errors.inc()
-                self.obs.event(
-                    "serve.ingest_error", error=str(exc), records=len(batch)
-                )
+        try:
+            while True:
+                batch = self.batcher.next_batch()
+                if batch is None:
+                    return
+                try:
+                    with self._engine_lock:
+                        self.engine.push_items(batch)
+                except ReproError as exc:
+                    # A batch the classifier cannot digest must not kill
+                    # the fold loop; it was validated at POST time, so
+                    # this is exceptional enough to count and log loudly.
+                    self.ingest_errors += 1
+                    self._c_ingest_errors.inc()
+                    self.obs.event(
+                        "serve.ingest_error", error=str(exc), records=len(batch)
+                    )
+        except BaseException as exc:
+            # Nothing folds any more: say so, and fail /readyz, rather
+            # than keep acknowledging records into a queue nobody drains.
+            self.ready.clear()
+            self.obs.event("serve.ingest_worker_died", error=repr(exc))
+            raise
 
     # ------------------------------------------------------------------
     # Routing
@@ -462,9 +472,11 @@ class ServeService:
     # Endpoints
     # ------------------------------------------------------------------
     def _endpoint_samples(self, request: HttpRequest) -> HttpResponse:
-        if self._draining:
+        if self._draining or not self.ready.is_set():
+            # Not ready also covers a dead ingest worker: nothing would
+            # fold what a 202 acknowledged.
             return HttpResponse.error(
-                503, "draining; not accepting new samples"
+                503, "draining or not ready; not accepting new samples"
             )
         trace = getattr(request, "trace", None)
         try:

@@ -318,11 +318,7 @@ class StreamEngine:
         )
 
     def _fold(self, record: StreamRecord) -> None:
-        """Geolocate, roll up, advance windows, checkpoint when due."""
-        if self.geodb is not None:
-            geo = self.geodb.lookup_or_none(record.client_ip)
-            if geo is not None:
-                record = record.located(geo.country, geo.asn)
+        """Roll up, advance windows, checkpoint when due."""
         rec = self._trace_rec
         token = rec.begin("rollup.fold") if rec.active is not None else None
         with self._t_fold:
@@ -428,12 +424,13 @@ class StreamEngine:
         self._source_exhausted = True
 
     def _records(self, items: Iterator[StreamItem]) -> Iterator[StreamRecord]:
-        """Classify items in order: the one path pull and push share.
+        """Classify and geolocate items in order: the one path pull and
+        push share.
 
-        Each record's ``seq`` is its fold ordinal; the caller folds it
-        before the next item is classified.
+        The caller folds each record before the next item is classified.
         """
         classifier = self._classifier
+        geodb = self.geodb
         obs = self.obs
         # With the memo enabled, timings are routed into hit/miss
         # histograms (a cache hit is ~feature extraction only, a miss
@@ -497,7 +494,12 @@ class StreamEngine:
                 else:
                     with t_classify:
                         result = classifier.classify(item.sample)
-                yield StreamRecord.from_result(result, seq=seq, ts=item.ts)
+                country = "??"
+                if geodb is not None:
+                    located = geodb.lookup_or_none(item.sample.client_ip)
+                    if located is not None:
+                        country = located.country
+                yield StreamRecord.from_result(result, item.ts, country)
         finally:
             if traced:
                 rec.activate(None)

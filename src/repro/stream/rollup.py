@@ -25,50 +25,33 @@ from repro.store.segment import DEFAULT_BUCKET_SECONDS, BucketSlice
 __all__ = ["StreamRecord", "StreamRollup", "DEFAULT_BUCKET_SECONDS"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class StreamRecord:
-    """A classified connection, reduced to what aggregation reads.
+    """A classified, geolocated connection, reduced to what the fold reads.
 
-    This is the unit :class:`StreamRollup` and the durable store fold;
-    ``country``/``asn`` are filled in by the engine's geolocation step.
+    This is the unit :class:`StreamRollup`, the durable store, its WAL
+    and the detector's windows count; it is built once, after the geo
+    lookup, so it is born with its ``country``.
     """
 
-    seq: int
-    conn_id: int
+    ts: float
+    country: str
     signature: SignatureId
     stage: Stage
     possibly_tampered: bool
-    client_ip: str
-    ip_version: int
-    server_port: int
-    ts: float
-    country: str = "??"
-    asn: int = -1
 
     @classmethod
     def from_result(
         cls,
         result: ClassificationResult,
-        seq: int,
         ts: Optional[float] = None,
+        country: str = "??",
     ) -> "StreamRecord":
-        sample = result.sample
         if ts is None:
-            ts = min((p.ts for p in sample.packets), default=0.0)
+            ts = min((p.ts for p in result.sample.packets), default=0.0)
         return cls(
-            seq=seq,
-            conn_id=sample.conn_id,
-            signature=result.signature,
-            stage=result.stage,
-            possibly_tampered=result.possibly_tampered,
-            client_ip=sample.client_ip,
-            ip_version=sample.ip_version,
-            server_port=sample.server_port,
-            ts=ts,
+            ts, country, result.signature, result.stage, result.possibly_tampered
         )
-
-    def located(self, country: str, asn: int) -> "StreamRecord":
-        return dataclasses.replace(self, country=country, asn=asn)
 
     @property
     def is_tampering(self) -> bool:

@@ -1,16 +1,27 @@
 """Unit tests for categorization, edge servers, sampling and collection."""
 
+import copy
 import io
+import ipaddress
 import math
+import random
+from binascii import a2b_base64
 
 import pytest
 
 from repro.cdn.categorize import CategoryDB
-from repro.cdn.collector import ConnectionSample, read_samples_jsonl, write_samples_jsonl
+from repro.cdn.collector import (
+    MAX_TIMESTAMP,
+    ConnectionSample,
+    checked_timestamp,
+    read_samples_jsonl,
+    write_samples_jsonl,
+)
 from repro.cdn.edge import EdgeConfig, make_edge_server
 from repro.cdn.sampler import CaptureConfig, ConnectionSampler, capture_sample
 from repro.errors import ConfigError
 from repro.netstack.flags import TCPFlags
+from repro.netstack.options import TCPOption
 from repro.netstack.packet import Packet, PacketDirection
 from repro.netstack.tcp import TcpState
 from repro.network.sim import SimResult
@@ -278,3 +289,170 @@ class TestSampleRecord:
         path = str(tmp_path / "samples.jsonl")
         write_samples_jsonl(path, [sample, sample])
         assert len(read_samples_jsonl(path)) == 2
+
+
+class TestFromDictAdmission:
+    """``from_dict`` refuses what the fold cannot read, so a bad sample
+    is refused where it is admitted, not where it is folded."""
+
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("client_ip", None, TypeError),
+            ("client_ip", 5, TypeError),
+            ("window_end", "x", TypeError),
+            ("window_end", None, TypeError),
+            ("window_end", math.nan, ValueError),
+            ("window_end", math.inf, ValueError),
+            ("window_end", 1e308, ValueError),
+        ],
+    )
+    def test_sample_fields(self, field, value, error):
+        data = capture(run_connection(make_client()), conn_id=3).to_dict()
+        data[field] = value
+        with pytest.raises(error):
+            ConnectionSample.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "value,error",
+        [("1", TypeError), (None, TypeError), (math.nan, ValueError),
+         (-math.inf, ValueError), (MAX_TIMESTAMP * 2, ValueError)],
+    )
+    def test_packet_ts(self, value, error):
+        data = capture(run_connection(make_client()), conn_id=3).to_dict()
+        data["packets"][-1]["ts"] = value
+        with pytest.raises(error):
+            ConnectionSample.from_dict(data)
+
+    def test_bound_is_inclusive(self):
+        assert checked_timestamp(MAX_TIMESTAMP, "ts") == MAX_TIMESTAMP
+        assert checked_timestamp(-MAX_TIMESTAMP, "ts") == -MAX_TIMESTAMP
+        assert checked_timestamp(0, "ts") == 0
+
+
+_MISSING = object()
+
+#: Replacement values for the differential test: valid and invalid
+#: values of every JSON type, including ones a table or dict lookup
+#: would treat differently from the enum (unhashable ``[]``/``{}``).
+_MUTATIONS = [
+    _MISSING, None, True, False, 0, 1, 2, 18, 255, 256, 65535, 65536, -1,
+    2**32, 2**64, -(2**63), 10**30, 1.5, 2.0, math.nan, math.inf,
+    -math.inf, 1e308, "", "x", "2", "1.2.3.4", "11.0.0.9", "01.2.3.4",
+    "::1", "2001:db8::5", "fe80::1%eth0", "[::1]", " 1.2.3.4", "AAAA",
+    "QUJD", "A===", "=", [], {}, [1], {"a": 1}, [2, "BbQ="], [[2, "BbQ="]],
+    [[1, ""]], [[0, "AA=="]], [[300, ""]], [["x", ""]], [[2]],
+    [[2, "BbQ", 1]],
+]
+_PACKET_FIELDS = [
+    "ts", "src", "dst", "ttl", "ip_id", "sport", "dport", "seq", "ack",
+    "flags", "window", "options", "payload", "injected",
+]
+_SAMPLE_FIELDS = [
+    "conn_id", "window_end", "client_ip", "client_port", "server_ip",
+    "server_port", "ip_version", "packets",
+]
+
+
+def _reference_from_dict(data: dict) -> ConnectionSample:
+    """``ConnectionSample.from_dict`` spelled with ``ipaddress`` and
+    ``TCPFlags()`` directly: no address fast path, no flags table."""
+    def timestamp(value):
+        if not isinstance(value, (int, float)):
+            raise TypeError("not a number")
+        if value != value or abs(value) > MAX_TIMESTAMP:
+            raise ValueError("not a finite time within the bound")
+        return value
+
+    client_ip = data["client_ip"]
+    if not isinstance(client_ip, str):
+        raise TypeError("client_ip must be a string")
+    window_end = timestamp(data["window_end"])
+    packets = []
+    for entry in data["packets"]:
+        src = entry["src"]
+        version = ipaddress.ip_address(src).version
+        ts = timestamp(entry["ts"])
+        flags = TCPFlags(entry["flags"])
+        options = entry.get("options")
+        payload = entry["payload"]
+        packets.append(Packet(
+            ts=ts, src=src, dst=entry["dst"], ttl=entry["ttl"],
+            ip_id=entry["ip_id"], ip_version=version, sport=entry["sport"],
+            dport=entry["dport"], seq=entry["seq"], ack=entry["ack"],
+            flags=flags, window=entry.get("window", 0),
+            options=tuple(
+                TCPOption(kind, a2b_base64(b64)) for kind, b64 in options
+            ) if options else (),
+            payload=b"" if payload == "" else a2b_base64(payload),
+            direction=PacketDirection.TO_SERVER,
+            injected=entry.get("injected", False),
+        ))
+    return ConnectionSample(
+        conn_id=data["conn_id"], packets=packets, window_end=window_end,
+        client_ip=client_ip, client_port=data["client_port"],
+        server_ip=data["server_ip"], server_port=data["server_port"],
+        ip_version=data["ip_version"],
+        truth_tampered=data.get("truth_tampered"),
+        truth_vendor=data.get("truth_vendor"),
+        truth_domain=data.get("truth_domain"),
+        truth_client_kind=data.get("truth_client_kind", "browser"),
+    )
+
+
+def _decode_outcome(decode, data):
+    """What ``decode`` makes of ``data``: the sample's dict form, flag
+    types and versions, or the type of the exception it raised."""
+    try:
+        sample = decode(data)
+        return (
+            repr(sample.to_dict()),
+            [type(p.flags) for p in sample.packets],
+            [p.ip_version for p in sample.packets],
+        )
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+class TestFromDictDifferential:
+    """``from_dict`` (address fast path, flags table) agrees with a
+    reference built on ``ipaddress`` and ``TCPFlags()`` on every
+    one-field mutation of real samples: same dict form and flag types,
+    or the same exception type."""
+
+    def test_one_field_mutations(self):
+        bases = [
+            capture(run_connection(make_client()), conn_id=3).to_dict(),
+            capture(
+                run_connection(
+                    make_client(client_ip="2001:db8::5", server_ip="2606:4700::1"),
+                    server_ip="2606:4700::1",
+                ),
+                conn_id=4,
+            ).to_dict(),
+        ]
+        rng = random.Random(27)
+        raised = agreed = 0
+        for field in _PACKET_FIELDS + _SAMPLE_FIELDS:
+            for value in _MUTATIONS:
+                data = copy.deepcopy(rng.choice(bases))
+                target = data
+                if field in _PACKET_FIELDS:
+                    target = rng.choice(data["packets"])
+                if value is _MISSING:
+                    target.pop(field, None)
+                else:
+                    target[field] = copy.deepcopy(value)
+                expected = _decode_outcome(_reference_from_dict, data)
+                got = _decode_outcome(ConnectionSample.from_dict, data)
+                assert got == expected, (field, value)
+                agreed += 1
+                raised += isinstance(expected, type)
+        # Both outcomes are exercised in bulk.
+        assert 0.2 * agreed < raised < 0.9 * agreed
+
+    @pytest.mark.parametrize("value", [[], {}, [1], None, "2", 1.5])
+    def test_unhashable_and_odd_flags_raise_like_the_enum(self, value):
+        data = capture(run_connection(make_client()), conn_id=3).to_dict()
+        data["packets"][0]["flags"] = value
+        assert _decode_outcome(ConnectionSample.from_dict, data) is ValueError

@@ -42,6 +42,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sample_packet(sport=70000)
 
+    def test_every_flag_byte_is_its_enum_member(self):
+        for byte in range(256):
+            flags = sample_packet(flags=byte).flags
+            assert type(flags) is TCPFlags
+            assert flags is TCPFlags(byte)
+        for value in (256, -1, 2.0, True):
+            assert sample_packet(flags=value).flags is TCPFlags(value)
+
+    def test_slotted(self):
+        with pytest.raises(AttributeError):
+            sample_packet().note = "no per-instance dict"
+
     def test_flow_and_conn_key(self):
         pkt = sample_packet()
         assert pkt.flow == ("11.0.1.2", 51000, "198.41.0.7", 443)

@@ -415,6 +415,87 @@ class TestServiceEndpoints:
             assert client.post_samples([]) == {"accepted": 0, "queued": 0}
             client.close()
 
+    def test_unfoldable_records_are_400_and_ingest_keeps_folding(
+        self, tmp_path, study
+    ):
+        """Each body here used to be accepted with a 202 and then kill
+        the ingest worker in the fold, so nothing folded again."""
+        service = ServeService(
+            str(tmp_path / "store"), config=ServeConfig(port=0),
+            geodb=study.geo,
+        )
+        sample = study.samples[0]
+        ts = study.timestamps[sample.conn_id]
+
+        def mutated(key, value, where="sample"):
+            payload = sample.to_dict()
+            if where == "packet":
+                payload["packets"][0][key] = value
+            else:
+                payload[key] = value
+            return {"ts": ts, "sample": payload}
+
+        bodies = [
+            mutated("client_ip", None),
+            mutated("client_ip", 5),
+            mutated("window_end", "x"),
+            mutated("window_end", float("nan")),
+            mutated("ts", float("nan"), where="packet"),
+            mutated("ts", "x", where="packet"),
+            mutated("ts", 1e308, where="packet"),
+            {"ts": float("nan"), "sample": sample.to_dict()},
+            {"ts": float("inf"), "sample": sample.to_dict()},
+            {"ts": 1e308, "sample": sample.to_dict()},
+        ]
+        with RunningService(service):
+            client = ServeClient(port=service.port)
+            for entry in bodies:
+                # json.dumps writes NaN/Infinity, which json.loads reads.
+                status, _, payload = client._request(
+                    "POST", "/v1/samples", body=json.dumps([entry]).encode()
+                )
+                assert status == 400, entry
+                assert b"error" in payload
+            n = 20
+            client.post_samples(study.samples[:n], timestamps=study.timestamps)
+            wait_folded(client, n)
+            assert client.ready() is True
+            assert service.ingest_errors == 0
+            client.close()
+        assert service.report.samples_processed == n
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_dead_ingest_worker_fails_readyz(self, tmp_path, study):
+        service = ServeService(
+            str(tmp_path / "store"), config=ServeConfig(port=0),
+            geodb=study.geo,
+        )
+
+        def broken_push(items):
+            raise RuntimeError("fold exploded")
+
+        with RunningService(service):
+            service.engine.push_items = broken_push
+            client = ServeClient(port=service.port)
+            client.post_samples(study.samples[:2], timestamps=study.timestamps)
+            deadline = time.monotonic() + 1.0
+            while client.ready() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            status, _, _ = client._request("GET", "/readyz")
+            assert status == 503
+            # No more 202s for records that nothing would fold.
+            status, _, _ = client._request(
+                "POST", "/v1/samples",
+                body=json.dumps([study.samples[2].to_dict()]).encode(),
+            )
+            assert status == 503
+            client.close()
+        died = service.obs.tracer.events("serve.ingest_worker_died")
+        assert len(died) == 1
+        assert "fold exploded" in str(died[0])
+
     def test_oversize_batch_is_413(self, tmp_path, study):
         service = ServeService(
             str(tmp_path / "store"),

@@ -68,27 +68,12 @@ def make_source(study, n=None):
     return IterableSource(samples, timestamps=study.timestamps)
 
 
-def make_record(seq, ts, country, signature, stage, possibly):
-    return StreamRecord(
-        seq=seq,
-        conn_id=seq,
-        signature=signature,
-        stage=stage,
-        possibly_tampered=possibly,
-        client_ip="203.0.113.7",
-        ip_version=4,
-        server_port=80,
-        ts=ts,
-        country=country,
-    )
-
-
 def random_records(seed, n, n_buckets=24):
     """A seeded in-order stream covering every counter family."""
     rng = random.Random(seed)
     timestamps = sorted(rng.uniform(0.0, n_buckets * HOUR) for _ in range(n))
     records = []
-    for seq, ts in enumerate(timestamps):
+    for ts in timestamps:
         if rng.random() < 0.4:
             signature = rng.choice(TAMPERING_SIGS)
             possibly = rng.random() < 0.9  # matched-but-not-possibly too
@@ -96,8 +81,7 @@ def random_records(seed, n, n_buckets=24):
             signature = rng.choice(NON_TAMPERING_SIGS)
             possibly = signature is SignatureId.OTHER
         records.append(
-            make_record(
-                seq,
+            StreamRecord(
                 ts,
                 rng.choice(COUNTRIES),
                 signature,
@@ -172,7 +156,7 @@ class TestKeyCatalog:
     def test_observe_record_maps_non_tampering_keys(self):
         catalog = KeyCatalog()
         catalog.observe_record(
-            make_record(0, 0.0, "CN", SignatureId.OTHER, Stage.NONE, True)
+            StreamRecord(0.0, "CN", SignatureId.OTHER, Stage.NONE, True)
         )
         assert catalog.country_sigs["CN"] == [SignatureId.NOT_TAMPERING]
         assert catalog.global_sigs == []
@@ -551,10 +535,10 @@ def store_answers(store, countries):
     return answers
 
 
-def relabel(record, seq, ts):
-    """A copy of ``record`` at a new position (no new catalog keys)."""
-    return make_record(
-        seq, ts, record.country, record.signature, record.stage,
+def relabel(record, ts):
+    """A copy of ``record`` at a new time (no new catalog keys)."""
+    return StreamRecord(
+        ts, record.country, record.signature, record.stage,
         record.possibly_tampered,
     )
 
@@ -571,7 +555,7 @@ class TestFailedManifestSwap:
     def test_failed_seal_keeps_buckets_open(self, tmp_path, monkeypatch):
         records = random_records(37, 300, n_buckets=10)
         head, tail = records[:150], records[150:]
-        late = relabel(records[0], len(records), 1.5 * HOUR)
+        late = relabel(records[0], 1.5 * HOUR)
         horizon = 2 * HOUR
 
         reference = RollupStore(str(tmp_path / "reference"))
@@ -622,7 +606,7 @@ class TestFailedManifestSwap:
 
     def test_failed_compaction_keeps_victims_live(self, tmp_path, monkeypatch):
         records = random_records(41, 300, n_buckets=12)
-        extra = relabel(records[0], len(records), 12.5 * HOUR)
+        extra = relabel(records[0], 12.5 * HOUR)
 
         reference = RollupStore(str(tmp_path / "reference"), config=small_compaction())
         for record in records:
@@ -676,11 +660,11 @@ class TestStoreLifecycleParity:
         rollup = StreamRollup()
         store = RollupStore(str(tmp_path / "store"), config=small_compaction())
         watermark = None
-        for record in records:
+        for seq, record in enumerate(records):
             rollup.add(record)
             store.add(record)
             watermark = record.ts if watermark is None else max(watermark, record.ts)
-            if record.seq % 97 == 96:
+            if seq % 97 == 96:
                 if store.seal_through(watermark - 2 * HOUR):
                     store.maybe_compact()
 
@@ -801,7 +785,7 @@ class TestQueries:
 
     def test_open_buckets_counted_in_scan_stats(self, tmp_path):
         store = RollupStore(str(tmp_path / "store"))
-        store.add(make_record(0, 10.0, "IR", SignatureId.SYN_RST, Stage.POST_SYN, True))
+        store.add(StreamRecord(10.0, "IR", SignatureId.SYN_RST, Stage.POST_SYN, True))
         result = store.query(StoreQuery("country_tampering_rate"))
         assert result.open_buckets_scanned == 1
         assert result.segments_scanned == 0
@@ -857,13 +841,13 @@ class TestCheckpointIntegration:
         store = RollupStore(str(tmp_path / "store"), config=small_compaction())
         size_at_third = rollup_size_at_third = None
         watermark = None
-        for record in records:
+        for seq, record in enumerate(records):
             rollup.add(record)
             store.add(record)
             watermark = record.ts if watermark is None else max(watermark, record.ts)
-            if record.seq % 60 == 59:
+            if seq % 60 == 59:
                 store.seal_through(watermark - 2 * HOUR)
-            if record.seq == 299:
+            if seq == 299:
                 size_at_third = len(json.dumps(store.checkpoint_state()))
                 rollup_size_at_third = len(json.dumps(rollup.to_dict()))
         size_at_end = len(json.dumps(store.checkpoint_state()))
@@ -888,10 +872,10 @@ class TestCheckpointIntegration:
         directory = str(tmp_path / "store")
         store = RollupStore(directory, config=small_compaction())
         watermark = None
-        for record in records[:250]:
+        for seq, record in enumerate(records[:250]):
             store.add(record)
             watermark = record.ts if watermark is None else max(watermark, record.ts)
-            if record.seq % 80 == 79:
+            if seq % 80 == 79:
                 store.seal_through(watermark - 2 * HOUR)
         state = store.checkpoint_state()
         generation_at_checkpoint = state["generation"]
@@ -1140,12 +1124,12 @@ def build_pinned_store(root):
     tail, and a checkpoint beside it."""
     store = RollupStore(os.path.join(root, "store"), config=small_compaction())
     watermark = None
-    for record in random_records(17, 360, n_buckets=18):
+    for seq, record in enumerate(random_records(17, 360, n_buckets=18)):
         store.add(record)
         watermark = record.ts if watermark is None else max(watermark, record.ts)
-        if record.seq % 40 == 39:
+        if seq % 40 == 39:
             store.seal_through(watermark - 2 * HOUR)
-        if record.seq % 160 == 159:
+        if seq % 160 == 159:
             store.maybe_compact()
     CheckpointManager(os.path.join(root, "checkpoint.json")).save(
         store.checkpoint_state(), store.ordinal
@@ -1224,10 +1208,10 @@ class TestByteParity:
         directory = str(tmp_path / "store")
         store = RollupStore(directory, config=small_compaction())
         watermark = None
-        for record in records[:300]:
+        for seq, record in enumerate(records[:300]):
             store.add(record)
             watermark = record.ts if watermark is None else max(watermark, record.ts)
-            if record.seq % 50 == 49:
+            if seq % 50 == 49:
                 store.seal_through(watermark - HOUR)
                 assert_manifest_bytes(store)
         assert store.compact() >= 1
@@ -1293,7 +1277,7 @@ class TestReadOnlyOpen:
     def test_every_mutator_is_rejected(self, tmp_path):
         store, _ = self._sealed_store(tmp_path, n=40)
         reader = RollupStore.open_read_only(store.directory)
-        record = make_record(0, 0.0, "IR", SignatureId.PSH_RST, Stage.POST_PSH, True)
+        record = StreamRecord(0.0, "IR", SignatureId.PSH_RST, Stage.POST_PSH, True)
         for call in (
             lambda: reader.add(record),
             lambda: reader.seal_through(HOUR),

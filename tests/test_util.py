@@ -1,5 +1,6 @@
 """Unit tests for shared utilities."""
 
+import ipaddress
 import random
 
 import pytest
@@ -66,6 +67,54 @@ class TestIpConversions:
         assert ip_version("2a00::1") == 6
         with pytest.raises(ValueError):
             ip_version("not-an-ip")
+
+
+def _outcome(fn, address):
+    """The value ``fn`` returns for ``address``, or its exception type."""
+    try:
+        return fn(address)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+#: Texts and non-texts where a fast parser could part from ``ipaddress``:
+#: leading zeros, scope ids, embedded IPv4, whitespace, non-ASCII digits,
+#: brackets, NULs, prefixes, shorthand forms and non-string inputs.
+ADDRESS_EDGE_CASES = [
+    "1.2.3.4", "0.0.0.0", "255.255.255.255", "01.2.3.4", "1.2.3.04",
+    "00.0.0.0", "256.1.1.1", "1.2.3", "1.2.3.4.5", "0x1.2.3.4",
+    " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "\u0661.2.3.4", "1.2.3.4\x00",
+    "1.2.3.4/32", "", "::", "::1", "[::1]", "::1\x00", "fe80::1%eth0",
+    "fe80::1%", "::ffff:1.2.3.4", "::1.2.3.4", "::ffff:01.2.3.4",
+    "::ffff:1.2.3", "1:2:3:4:5:6:1.2.3.4", "1:2:3:4:5:6:7:1.2.3.4",
+    "1::2::3", "2001:0db8:0000::1", "02001:db8::1", "ABCD::ef",
+    "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9", "1:2:3:4:5:6:7::",
+    "::1:2:3:4:5:6:7", "1::", ":1::", "::fffff", " ::1", "\uff11.2.3.4",
+    5, 2**32, -1, None, 1.5, b"\x01\x02\x03\x04", b"1.2.3.4",
+]
+
+
+class TestAddressParsersMatchIpaddress:
+    """The inet_pton fast paths return what ``ipaddress`` returns, or
+    raise the exception type it raises, on every edge case."""
+
+    @pytest.mark.parametrize("address", ADDRESS_EDGE_CASES, ids=repr)
+    def test_ip_version(self, address):
+        assert _outcome(ip_version, address) == _outcome(
+            lambda a: ipaddress.ip_address(a).version, address
+        )
+
+    @pytest.mark.parametrize("address", ADDRESS_EDGE_CASES, ids=repr)
+    def test_ipv4_to_int(self, address):
+        assert _outcome(ipv4_to_int, address) == _outcome(
+            lambda a: int(ipaddress.IPv4Address(a)), address
+        )
+
+    @pytest.mark.parametrize("address", ADDRESS_EDGE_CASES, ids=repr)
+    def test_ipv6_to_int(self, address):
+        assert _outcome(ipv6_to_int, address) == _outcome(
+            lambda a: int(ipaddress.IPv6Address(a)), address
+        )
 
 
 class TestZipfWeights:
