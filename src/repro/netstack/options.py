@@ -45,7 +45,7 @@ class OptionKind(enum.IntEnum):
     TIMESTAMP = 8
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True)
 class TCPOption:
     """One TCP option: a kind byte and its raw data bytes.
 

@@ -47,7 +47,7 @@ class PacketDirection(enum.Enum):
 _FLAGS_BY_BYTE: List[Optional[TCPFlags]] = [None] * 256
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass
 class Packet:
     """One TCP/IP packet.
 

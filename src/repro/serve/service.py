@@ -481,7 +481,8 @@ class ServeService:
         trace = getattr(request, "trace", None)
         try:
             items = _parse_sample_entries(request.body, trace=trace)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            # OverflowError: float() of a JSON integer past 1.8e308.
             self._c_bad_request.inc()
             return HttpResponse.error(400, f"bad samples payload: {exc}")
         if not items:

@@ -25,7 +25,7 @@ from repro.store.segment import DEFAULT_BUCKET_SECONDS, BucketSlice
 __all__ = ["StreamRecord", "StreamRollup", "DEFAULT_BUCKET_SECONDS"]
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass
 class StreamRecord:
     """A classified, geolocated connection, reduced to what the fold reads.
 
@@ -33,6 +33,9 @@ class StreamRecord:
     and the detector's windows count; it is built once, after the geo
     lookup, so it is born with its ``country``.
     """
+
+    # Explicit slots, not ``dataclass(slots=True)``: that needs 3.10.
+    __slots__ = ("ts", "country", "signature", "stage", "possibly_tampered")
 
     ts: float
     country: str

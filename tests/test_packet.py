@@ -50,10 +50,6 @@ class TestConstruction:
         for value in (256, -1, 2.0, True):
             assert sample_packet(flags=value).flags is TCPFlags(value)
 
-    def test_slotted(self):
-        with pytest.raises(AttributeError):
-            sample_packet().note = "no per-instance dict"
-
     def test_flow_and_conn_key(self):
         pkt = sample_packet()
         assert pkt.flow == ("11.0.1.2", 51000, "198.41.0.7", 443)

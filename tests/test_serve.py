@@ -446,6 +446,7 @@ class TestServiceEndpoints:
             {"ts": float("nan"), "sample": sample.to_dict()},
             {"ts": float("inf"), "sample": sample.to_dict()},
             {"ts": 1e308, "sample": sample.to_dict()},
+            {"ts": 10 ** 400, "sample": sample.to_dict()},
         ]
         with RunningService(service):
             client = ServeClient(port=service.port)
